@@ -329,9 +329,12 @@ def cmd_eval(args) -> int:
     params = load_checkpoint(_require(settings, "checkpoint", "--checkpoint"))
     manifest = load_manifest(_require(settings, "manifest", "--manifest"))
     records = manifest.records
-    if settings.get("folds") is not None and settings.get("fold") is not None:
-        assignment = FoldAssignment.load(settings["folds"])
-        _, records = assignment.split_records(manifest, int(settings["fold"]))
+    folds, fold = settings.get("folds"), settings.get("fold")
+    if (folds is None) != (fold is None):
+        raise ConfigError("eval takes --folds and --fold together (config keys folds, fold), not one alone")
+    if folds is not None:
+        assignment = FoldAssignment.load(folds)
+        _, records = assignment.split_records(manifest, int(fold))
     metrics = evaluate(params, records, geometry=manifest.geometry)
     print(f"scans={len(records)}")
     for line in metrics_lines(metrics):

@@ -239,7 +239,11 @@ class FoldAssignment:
             folds[subject] = fold
         if not folds:
             raise FormatError(f"{path}: empty fold assignment")
-        return cls(max(folds.values()) + 1, folds)
+        k = max(folds.values()) + 1
+        missing = sorted(set(range(k)) - set(folds.values()))
+        if missing:
+            raise FormatError(f"{path}: fold {missing[0]} has no subjects (folds run 0..{k - 1})")
+        return cls(k, folds)
 
 
 def stratified_group_kfold(manifest: Manifest, k: int, seed: int) -> FoldAssignment:

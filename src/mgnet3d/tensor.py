@@ -112,11 +112,15 @@ class Tape:
             if op.out.grad is not None:
                 op.adjoint(op.out.grad)
         # Tensors that fed recorded operations but lie off the path to the
-        # root still finish with a concrete zero gradient.
+        # root still finish with a concrete zero gradient. Each output also
+        # lets go of this tape: output -> tape -> op -> output is a cycle, and
+        # breaking it frees the tape and every activation it saved as soon
+        # as the caller drops the root, not at the next cyclic collection.
         for op in self.ops:
             for t in op.inputs:
                 if t.requires_grad and t.grad is None:
                     t.grad = np.zeros_like(t.data)
+            op.out._tape = None
 
 
 # Recording context is per thread, so parallel workers (e.g. concurrent
@@ -164,13 +168,14 @@ def backward(loss: Tensor) -> None:
 
     Gradient buffers accumulate, so a tensor consumed by k operations ends
     with the sum of k adjoint contributions. Tensors that fed the tape but
-    do not influence the loss end with an explicit zero gradient.
+    do not influence the loss end with an explicit zero gradient. A tape
+    runs once; afterwards it is freed together with the root.
     """
     if loss.data.size != 1:
         raise ArgumentError(f"backward root must be a scalar, got shape {loss.shape}")
     tape = loss._tape
     if tape is None:
-        raise ArgumentError("backward root was not produced under record()")
+        raise ArgumentError("backward root was not produced under record(), or its tape has run")
     tape.backward(loss)
 
 
@@ -222,6 +227,7 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
 
     xp = np.pad(x.data, ((0, 0),) + ((padding, padding),) * 3) if padding else x.data
     kdata = kernel.data
+    dtype = x.data.dtype
     offsets = [(a, b, c) for a in range(kd) for b in range(kh) for c in range(kw)]
 
     def tap(arr: np.ndarray, a: int, b: int, c: int) -> np.ndarray:
@@ -232,10 +238,44 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
             c : c + stride * (out_sp[2] - 1) + 1 : stride,
         ]
 
-    out = np.zeros((c_out,) + out_sp, dtype=x.data.dtype)
-    for a, b, c in offsets:
-        out += np.tensordot(kdata[:, :, a, b, c], tap(xp, a, b, c), axes=(1, 0))
-    result = Tensor(out, dtype=out.dtype)
+    # The engine runs a stride-1 convolution on ``src`` and keeps every
+    # ``step``-th output. A 1x1x1 kernel reads only the voxels it outputs,
+    # so it subsamples its input instead and runs on the coarse grid.
+    if kd == 1:
+        src, step = np.ascontiguousarray(tap(xp, 0, 0, 0)), 1
+    else:
+        src, step = xp, stride
+    sd, sh, sw = src.shape[1:]
+    full = (sd - kd + 1, sh - kh + 1, sw - kw + 1)
+    # Output voxel (i, j, l) sits at flat index q = i*sh*sw + j*sw + l of a
+    # buffer laid out on src's H x W plane, and tap (a, b, c) reads src's
+    # flat index q + shift. Each tap is then one GEMM on a contiguous window
+    # of the flattened map; the window's columns with j or l past the
+    # output extent wrap across rows and are cropped away.
+    n = (full[0] - 1) * sh * sw + (full[1] - 1) * sw + full[2]
+    shifts = [a * sh * sw + b * sw + c for a, b, c in offsets]
+
+    def crop(buf: np.ndarray) -> np.ndarray:
+        grid = buf.reshape(buf.shape[0], full[0], sh, sw)
+        return grid[:, ::step, : full[1] : step, : full[2] : step]
+
+    # Taps are summed in offsets order, and each tap's product is one GEMM
+    # over the input channels: the float32 sums of a per-tap loop over
+    # strided copies, so the outputs agree bit for bit. That loop starts
+    # from zeros; adding +0 at the crop turns the -0 a first product can
+    # leave into its +0 and changes nothing else. numpy's matmul has no
+    # BLAS path for an inner extent of 1; a broadcast product rounds the
+    # same single term.
+    xf = src.reshape(c_in, -1)
+    fwd_product = np.multiply if c_in == 1 else np.matmul
+    taps = kdata.transpose(2, 3, 4, 0, 1).reshape(len(offsets), c_out, c_in).copy()
+    acc = np.empty((c_out, full[0] * sh * sw), dtype=dtype)
+    fwd_product(taps[0], xf[:, :n], out=acc[:, :n])
+    part = np.empty((c_out, n), dtype=dtype)
+    for t, s in enumerate(shifts[1:], start=1):
+        fwd_product(taps[t], xf[:, s : s + n], out=part)
+        acc[:, :n] += part
+    result = Tensor(crop(acc) + dtype.type(0), dtype=dtype)
 
     def adjoint(g: np.ndarray) -> None:
         if kernel.requires_grad:
@@ -244,9 +284,35 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
                 gk[:, :, a, b, c] = np.tensordot(g, tap(xp, a, b, c), axes=([1, 2, 3], [1, 2, 3]))
             _accumulate(kernel, gk)
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for a, b, c in offsets:
-                tap(gxp, a, b, c)[...] += np.tensordot(kdata[:, :, a, b, c], g, axes=(0, 0))
+            # The output gradient on the flat layout, zero on the columns the
+            # crop drops (wrapped ones, and the odd ones of stride 2) so that
+            # they add exact zeros. A 1x1x1 kernel's crop keeps every column.
+            if g.shape[1:] == (full[0], sh, sw):
+                g_ext = g.reshape(c_out, -1)
+            else:
+                g_ext = np.zeros((c_out, full[0] * sh * sw), dtype=g.dtype)
+                crop(g_ext)[...] = g
+            taps_t = kdata.transpose(2, 3, 4, 1, 0).reshape(len(offsets), c_in, c_out).copy()
+            bwd_product = np.multiply if c_out == 1 else np.matmul
+            gsrc = np.zeros((c_in, sd * sh * sw), dtype=g.dtype)
+            bwd_product(taps_t[0], g_ext[:, :n], out=gsrc[:, :n])
+            part = np.empty((c_in, n), dtype=g.dtype)
+            for t, s in enumerate(shifts[1:], start=1):
+                bwd_product(taps_t[t], g_ext[:, :n], out=part)
+                gsrc[:, s : s + n] += part
+            gsrc = gsrc.reshape(c_in, sd, sh, sw)
+            if kd == 1 and not padding:
+                # A grid transfer read a strided subset of x: add into those
+                # voxels, not through a zero-filled buffer of the fine grid.
+                if x.grad is None:
+                    x.grad = np.zeros_like(x.data)
+                tap(x.grad, 0, 0, 0)[...] += gsrc
+                return
+            if kd == 1:
+                gxp = np.zeros_like(xp)
+                tap(gxp, 0, 0, 0)[...] += gsrc
+            else:
+                gxp = gsrc
             if padding:
                 gxp = gxp[:, padding : padding + d, padding : padding + h, padding : padding + w]
             _accumulate(x, gxp)

@@ -159,23 +159,26 @@ def train(
         batch_losses = []
         for batch_index, start in enumerate(range(0, len(order), train_cfg.batch_size)):
             batch = [train_records[i] for i in order[start : start + train_cfg.batch_size]]
-            with record():
-                losses = [
-                    softmax_cross_entropy(
-                        forward(params, _load_normalized(r, geometry, cache)), r.label
+            # A diverging run overflows before its loss turns non-finite;
+            # the DivergenceError below reports it, not numpy warnings.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                with record():
+                    losses = [
+                        softmax_cross_entropy(
+                            forward(params, _load_normalized(r, geometry, cache)), r.label
+                        )
+                        for r in batch
+                    ]
+                    loss = mean_scalars(losses)
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise DivergenceError(
+                        f"non-finite loss {value} at epoch {epoch}, batch {batch_index}",
+                        epoch=epoch,
+                        batch=batch_index,
                     )
-                    for r in batch
-                ]
-                loss = mean_scalars(losses)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise DivergenceError(
-                    f"non-finite loss {value} at epoch {epoch}, batch {batch_index}",
-                    epoch=epoch,
-                    batch=batch_index,
-                )
-            backward(loss)
-            sgd_step(params.tensors(), train_cfg.learning_rate)
+                backward(loss)
+                sgd_step(params.tensors(), train_cfg.learning_rate)
             batch_losses.append(value)
         epoch_loss = float(np.mean(batch_losses))
         metrics = None

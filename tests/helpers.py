@@ -37,6 +37,42 @@ def conv3d_reference(x: np.ndarray, kernel: np.ndarray, stride: int, padding: in
     return out
 
 
+def conv3d_taps_reference(
+    x: np.ndarray, kernel: np.ndarray, g: np.ndarray, stride: int, padding: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tap-loop convolution in the input's precision: (output, input gradient,
+    kernel gradient) for the output gradient ``g``.
+
+    One tensordot per kernel tap over a strided copy of the padded input,
+    summed onto a zero start in (a, b, c) order, the forward; the input
+    adjoint scatter-adds each tap's transposed product in the same order.
+    This fixes the float32 rounding that ``conv3d`` must reproduce exactly.
+    """
+    c_in, d, h, w = x.shape
+    k = kernel.shape[2]
+    out_sp = tuple((n + 2 * padding - k) // stride + 1 for n in (d, h, w))
+    xp = np.pad(x, ((0, 0),) + ((padding, padding),) * 3)
+    offsets = [(a, b, c) for a in range(k) for b in range(k) for c in range(k)]
+
+    def tap(arr, a, b, c):
+        return arr[
+            :,
+            a : a + stride * (out_sp[0] - 1) + 1 : stride,
+            b : b + stride * (out_sp[1] - 1) + 1 : stride,
+            c : c + stride * (out_sp[2] - 1) + 1 : stride,
+        ]
+
+    out = np.zeros((kernel.shape[0],) + out_sp, dtype=x.dtype)
+    gk = np.empty_like(kernel)
+    gxp = np.zeros_like(xp)
+    for a, b, c in offsets:
+        out += np.tensordot(kernel[:, :, a, b, c], tap(xp, a, b, c), axes=(1, 0))
+        gk[:, :, a, b, c] = np.tensordot(g, tap(xp, a, b, c), axes=([1, 2, 3], [1, 2, 3]))
+        tap(gxp, a, b, c)[...] += np.tensordot(kernel[:, :, a, b, c], g, axes=(0, 0))
+    gx = gxp[:, padding : padding + d, padding : padding + h, padding : padding + w]
+    return out, gx, gk
+
+
 def avg_pool3d_reference(x: np.ndarray) -> np.ndarray:
     """Direct window-average oracle with a valid-count divisor."""
     x = np.asarray(x, dtype=np.float64)

@@ -129,6 +129,15 @@ class TestTrainEval:
                     "tp=", "tn=", "fp=", "fn="):
             assert key in out
 
+    @pytest.mark.parametrize("lone", ["--fold", "--folds"])
+    def test_eval_lone_fold_flag_exit_2(self, capsys, trained, dataset, lone):
+        value = "0" if lone == "--fold" else str(trained / "folds.csv")
+        code, out, err = run(capsys, "eval", "--checkpoint", str(trained / "checkpoint.mgn3"),
+                             "--manifest", str(dataset), lone, value)
+        assert code == 2
+        assert out == ""
+        assert "--folds" in err and "--fold" in err
+
     def test_eval_geometry_mismatch_exit_3(self, capsys, trained, tmp_path):
         # Spatial extents are free for a fully convolutional model, so the
         # real geometry conflict is a channel mismatch.

@@ -227,6 +227,12 @@ class TestStratifiedGroupKfold:
         assert loaded.k == assignment.k
         assert loaded.folds == assignment.folds
 
+    def test_fold_gap_rejected(self, tmp_path):
+        path = tmp_path / "folds.csv"
+        path.write_text("subject_id,fold\ns0,0\ns1,2\ns2,0\n")
+        with pytest.raises(FormatError, match="fold 1"):
+            FoldAssignment.load(path)
+
 
 class TestSynthGenerate:
     def test_deterministic_files(self, tmp_path):

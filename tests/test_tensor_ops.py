@@ -1,5 +1,8 @@
 """Forward semantics of the tensor engine operations."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 import mgnet3d as mg
 from mgnet3d import ArgumentError, ShapeError, StateError, Tensor
 
-from helpers import avg_pool3d_reference, conv3d_reference
+from helpers import avg_pool3d_reference, conv3d_reference, conv3d_taps_reference
 
 
 def t(arr, dtype=np.float32, requires_grad=False):
@@ -92,6 +95,54 @@ class TestConv3d:
         x = rng.normal(size=(3, 5, 5, 5)).astype(np.float32)
         k = rng.normal(size=(3, 3, 3, 3, 3)).astype(np.float32)
         assert np.isfinite(mg.conv3d(t(x), t(k)).data).all()
+
+
+class TestConv3dFloat32Rounding:
+    """``conv3d`` must round exactly like the tap-loop reference.
+
+    A tolerance is not enough here: nudging one input-kernel weight by
+    1 ulp turns the criterion-4 learning run from 2/2 healthy folds into
+    one collapsed fold (mean accuracy 0.75 < 0.95). An engine that sums
+    the same float32 terms in another order, such as one im2col GEMM with
+    K = 27 * c_in, changes results that the acceptance suite pins.
+    """
+
+    @pytest.mark.parametrize(
+        "c_in,c_out,spatial,ksize,stride,padding",
+        [
+            (16, 16, (16, 16, 16), 3, 1, 1),
+            (16, 16, (23, 28, 23), 3, 1, 1),
+            (1, 16, (16, 16, 16), 3, 1, 1),
+            (16, 16, (23, 28, 23), 1, 2, 0),
+            (16, 16, (5, 7, 3), 1, 2, 0),
+            (3, 4, (5, 6, 7), 3, 2, 1),
+            (3, 4, (5, 6, 7), 1, 2, 1),
+        ],
+    )
+    @pytest.mark.parametrize("held", [False, True])
+    def test_bitwise_equal_to_tap_loop(
+        self, rng, c_in, c_out, spatial, ksize, stride, padding, held
+    ):
+        x = rng.normal(size=(c_in,) + spatial).astype(np.float32)
+        bound = np.sqrt(1.0 / (c_in * ksize**3))
+        k = rng.uniform(-bound, bound, size=(c_out, c_in) + (ksize,) * 3).astype(np.float32)
+        out_sp = tuple(mg.conv_output_extent(n, ksize, stride, padding) for n in spatial)
+        g = rng.normal(size=(c_out,) + out_sp).astype(np.float32)
+        want_out, want_gx, want_gk = conv3d_taps_reference(x, k, g, stride, padding)
+
+        xt, kt = t(x, requires_grad=True), t(k, requires_grad=True)
+        # A gradient the input already holds (another consumer's) is added to.
+        earlier = rng.normal(size=x.shape).astype(np.float32) if held else np.zeros_like(x)
+        if held:
+            xt.grad = earlier.copy()
+        with mg.record():
+            y = mg.conv3d(xt, kt, stride=stride, padding=padding)
+            loss = mg.weighted_sum(y, g)
+        mg.backward(loss)
+        assert y.dtype == xt.grad.dtype == kt.grad.dtype == np.float32
+        assert np.array_equal(y.data, want_out)
+        assert np.array_equal(xt.grad, earlier + want_gx)
+        assert np.array_equal(kt.grad, want_gk)
 
 
 class TestElementwise:
@@ -276,6 +327,25 @@ class TestTapeSemantics:
             y = mg.relu(x)
         with pytest.raises(ArgumentError):
             mg.backward(y)
+
+    def test_finished_tape_is_freed_without_gc(self, rng):
+        # Each output references its tape; once backward has run, dropping
+        # the root must free the tape and its saved activations by
+        # reference counting alone.
+        x = Tensor(rng.normal(size=(2, 4, 4, 4)).astype(np.float32))
+        k = Tensor(rng.normal(size=(2, 2, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        gc.disable()
+        try:
+            with mg.record() as tape:
+                loss = mg.reduce_sum(mg.relu(mg.conv3d(x, k)))
+            freed = weakref.ref(tape)
+            del tape
+            mg.backward(loss)
+            del loss
+            assert freed() is None
+        finally:
+            gc.enable()
+        assert k.grad is not None
 
     def test_no_grad_suppresses_recording(self, rng):
         x = Tensor(rng.normal(size=(3,)).astype(np.float32), requires_grad=True)
