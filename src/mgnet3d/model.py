@@ -282,13 +282,23 @@ def forward(params: MgNetParams, volume: Tensor, trace: list | None = None) -> T
         )
     level_shapes(cfg, volume.shape[1:])
     f = _activate(conv3d(volume, params.input_kernel, stride=1, padding=1), cfg.use_channel_norm)
-    u = Tensor(
-        np.zeros((cfg.feature_channels,) + volume.shape[1:], dtype=volume.data.dtype),
-        dtype=volume.data.dtype,
-    )
+    # MgNet starts from u0 = 0. The first pass's residual f - A*u0 is then f
+    # exactly and u0 + v is v, so that pass runs without the operator conv.
+    # A one-grid, one-pass network reads its operator nowhere else; it keeps
+    # the conv so the kernel still receives its (zero) gradient.
+    u = None
+    if cfg.num_grids == 1 and cfg.smoothing_iters[0] == 1:
+        u = Tensor(
+            np.zeros((cfg.feature_channels,) + volume.shape[1:], dtype=volume.data.dtype),
+            dtype=volume.data.dtype,
+        )
     for idx, level in enumerate(params.levels):
         for smoother in level.smoother_kernels:
-            u = smooth(u, f, level.operator_kernel, smoother, cfg.use_channel_norm)
+            if u is None:
+                v = conv3d(_activate(f, cfg.use_channel_norm), smoother, stride=1, padding=1)
+                u = _activate(v, cfg.use_channel_norm)
+            else:
+                u = smooth(u, f, level.operator_kernel, smoother, cfg.use_channel_norm)
         if trace is not None:
             trace.append(u.shape[1:])
         if idx + 1 < cfg.num_grids:

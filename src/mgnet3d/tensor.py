@@ -171,8 +171,6 @@ def backward(loss: Tensor) -> None:
     do not influence the loss end with an explicit zero gradient. A tape
     runs once; afterwards it is freed together with the root.
     """
-    if loss.data.size != 1:
-        raise ArgumentError(f"backward root must be a scalar, got shape {loss.shape}")
     tape = loss._tape
     if tape is None:
         raise ArgumentError("backward root was not produced under record(), or its tape has run")
@@ -190,8 +188,12 @@ def _attach(out: Tensor, inputs: Sequence[Tensor], adjoint: Callable[[np.ndarray
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # A fresh array, never ``g`` itself (an adjoint may hand one array
+        # to several inputs); adding +0 turns a -0 into +0, as a zero start
+        # would.
+        t.grad = np.add(np.broadcast_to(g, t.data.shape), t.data.dtype.type(0), dtype=t.data.dtype)
+    else:
+        t.grad += g
 
 
 def conv_output_extent(n: int, kernel: int, stride: int, padding: int) -> int:
@@ -279,9 +281,20 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
 
     def adjoint(g: np.ndarray) -> None:
         if kernel.requires_grad:
+            # Per tap, gk = g [c_out, D*H*W] @ window [D*H*W, c_in]. Each
+            # window is copied out of a channels-last source into one reused
+            # buffer, so the copy moves whole c_in rows; the GEMM's operands
+            # are those of a per-tap tensordot, and so is its rounding.
+            src_cl = src.transpose(1, 2, 3, 0).copy()
+            window = np.empty(out_sp + (c_in,), dtype=dtype)
+            g_rows = g.reshape(c_out, -1)
             gk = np.empty_like(kdata)
+            span = [step * (m - 1) + 1 for m in out_sp]
             for a, b, c in offsets:
-                gk[:, :, a, b, c] = np.tensordot(g, tap(xp, a, b, c), axes=([1, 2, 3], [1, 2, 3]))
+                np.copyto(
+                    window, src_cl[a : a + span[0] : step, b : b + span[1] : step, c : c + span[2] : step]
+                )
+                gk[:, :, a, b, c] = np.dot(g_rows, window.reshape(-1, c_in))
             _accumulate(kernel, gk)
         if x.requires_grad:
             # The output gradient on the flat layout, zero on the columns the

@@ -19,7 +19,7 @@ import numpy as np
 from .data import Manifest, VolumeRecord, FoldAssignment, load_volume, normalize, stratified_group_kfold
 from .errors import ArgumentError, ConfigError, DivergenceError, ShapeError, StateError
 from .metrics import EvalMetrics, compute_metrics
-from .model import MgNetConfig, MgNetParams, build, forward, load_checkpoint, save_checkpoint
+from .model import MgNetConfig, MgNetParams, build, forward
 from .tensor import Tensor, backward, mean_scalars, record, sgd_step, softmax_cross_entropy
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "evaluate",
     "cross_validate",
     "summarize_folds",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 _METRIC_NAMES = ("accuracy", "auc", "sensitivity", "specificity")

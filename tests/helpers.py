@@ -9,7 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from mgnet3d import MgNetParams, Tensor, backward, record
+from mgnet3d import (
+    MgNetParams,
+    Tensor,
+    backward,
+    channel_norm,
+    conv3d,
+    global_avg_pool,
+    linear,
+    record,
+    relu,
+    restrict,
+    smooth,
+)
 
 
 def conv3d_reference(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int) -> np.ndarray:
@@ -71,6 +83,28 @@ def conv3d_taps_reference(
         tap(gxp, a, b, c)[...] += np.tensordot(kernel[:, :, a, b, c], g, axes=(0, 0))
     gx = gxp[:, padding : padding + d, padding : padding + h, padding : padding + w]
     return out, gx, gk
+
+
+def forward_zero_guess_reference(params: MgNetParams, volume: Tensor) -> Tensor:
+    """The multigrid pass with every smoothing pass run by ``smooth``, the
+    first on an explicit zero feature map, operator conv included.
+
+    ``forward`` skips that conv (f - A*0 is f, 0 + v is v) and must give the
+    same float32 logits and gradients bit for bit.
+    """
+    cfg = params.config
+
+    def act(x: Tensor) -> Tensor:
+        return relu(channel_norm(x)) if cfg.use_channel_norm else relu(x)
+
+    f = act(conv3d(volume, params.input_kernel, stride=1, padding=1))
+    u = Tensor(np.zeros((cfg.feature_channels,) + volume.shape[1:], dtype=volume.dtype), dtype=volume.dtype)
+    for idx, level in enumerate(params.levels):
+        for smoother in level.smoother_kernels:
+            u = smooth(u, f, level.operator_kernel, smoother, cfg.use_channel_norm)
+        if idx + 1 < cfg.num_grids:
+            u, f = restrict(u, f, level, params.levels[idx + 1].operator_kernel, cfg.use_avg_pool)
+    return linear(global_avg_pool(u), params.head_weight, params.head_bias)
 
 
 def avg_pool3d_reference(x: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import mgnet3d as mg
 from mgnet3d import ConfigError, FormatError, MgNetConfig, ShapeError, Tensor
 
-from helpers import conv3d_reference
+from helpers import conv3d_reference, forward_zero_guess_reference
 
 
 def tiny_config(**overrides):
@@ -251,6 +251,33 @@ class TestForward:
             (12, 14, 12),
             (6, 7, 6),
         ]
+
+
+class TestZeroInitialGuess:
+    """``forward`` skips the operator conv on u0 = 0; nothing else may change."""
+
+    @pytest.mark.parametrize("num_grids,iters", [(3, 2), (1, 1)])
+    @pytest.mark.parametrize("use_avg_pool", [True, False])
+    @pytest.mark.parametrize("use_channel_norm", [False, True])
+    def test_bitwise_equal_to_explicit_zero_guess(
+        self, rng, num_grids, iters, use_avg_pool, use_channel_norm
+    ):
+        cfg = MgNetConfig(num_grids=num_grids, smoothing_iters=iters, feature_channels=4,
+                          data_channels=4, use_avg_pool=use_avg_pool,
+                          use_channel_norm=use_channel_norm, seed=5)
+        volume = Tensor(rng.normal(size=(1, 9, 10, 8)).astype(np.float32))
+        runs = []
+        for run in (mg.forward, forward_zero_guess_reference):
+            params = mg.build(cfg)
+            with mg.record():
+                logits = run(params, volume)
+                loss = mg.softmax_cross_entropy(logits, 1)
+            mg.backward(loss)
+            runs.append((logits, dict(params.named_tensors())))
+        (got, got_params), (want, want_params) = runs
+        assert got.data.tobytes() == want.data.tobytes()
+        for name, t in got_params.items():
+            assert t.grad.tobytes() == want_params[name].grad.tobytes(), name
 
 
 class TestParamCount:

@@ -117,6 +117,8 @@ class TestConv3dFloat32Rounding:
             (16, 16, (5, 7, 3), 1, 2, 0),
             (3, 4, (5, 6, 7), 3, 2, 1),
             (3, 4, (5, 6, 7), 1, 2, 1),
+            (16, 16, (46, 55, 46), 3, 1, 1),
+            (64, 64, (12, 12, 12), 3, 1, 1),
         ],
     )
     @pytest.mark.parametrize("held", [False, True])
@@ -346,6 +348,23 @@ class TestTapeSemantics:
         finally:
             gc.enable()
         assert k.grad is not None
+
+    def test_first_gradient_is_fresh_positive_zero(self, rng):
+        # A -0 first contribution lands as +0, as it would on a zero start.
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        with mg.record():
+            loss = mg.weighted_sum(x, np.array([-0.0, 1.0, -0.0]))
+        mg.backward(loss)
+        assert np.array_equal(x.grad, [0.0, 1.0, 0.0])
+        assert not np.signbit(x.grad).any()
+        # add's adjoint hands one array to both inputs; each gets its own.
+        a = Tensor(rng.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
+        with mg.record():
+            loss = mg.reduce_sum(mg.add(a, b))
+        mg.backward(loss)
+        assert np.array_equal(a.grad, np.ones((2, 3))) and np.array_equal(b.grad, a.grad)
+        assert not np.shares_memory(a.grad, b.grad)
 
     def test_no_grad_suppresses_recording(self, rng):
         x = Tensor(rng.normal(size=(3,)).astype(np.float32), requires_grad=True)
