@@ -37,9 +37,11 @@ from .metrics import EvalMetrics
 from .model import (
     MgNetConfig,
     build,
+    field_parsers,
     load_checkpoint,
     param_breakdown,
     param_count,
+    parse_key_values,
     save_checkpoint,
 )
 from .training import TrainConfig, cross_validate, evaluate, train
@@ -57,107 +59,60 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    return value
 
 
-def _parse_iters(text: str):
-    parts = [p for p in text.split(",") if p]
-    values = tuple(int(p) for p in parts)
-    return values[0] if len(values) == 1 else values
+# Run-protocol keys: (value parser, default, flag help). The model and
+# training keys are the MgNetConfig and TrainConfig fields; each class's
+# ``seed`` comes from its seed_* key here.
+_PROTOCOL_KEYS = {
+    "seed_model": (non_negative_int, 0, "initialization seed"),
+    "seed_train": (non_negative_int, 0, "shuffle seed"),
+    "seed_split": (non_negative_int, 0, "fold assignment seed"),
+    "seed_data": (non_negative_int, 0, "dataset generation seed"),
+    "manifest": (str, None, "dataset manifest CSV"),
+    "folds": (str, None, "fold assignment CSV"),
+    "checkpoint": (str, None, "checkpoint path"),
+    "out": (str, None, "output directory"),
+    "k": (int, 10, "number of folds"),
+    "fold": (int, None, "fold index"),
+    "workers": (int, 1, "parallel fold workers"),
+}
+
+
+def _field_keys(cls) -> dict:
+    return {name: parse for name, parse in field_parsers(cls).items() if name != "seed"}
 
 
 _CONFIG_SCHEMA = {
-    # model
-    "num_grids": int,
-    "smoothing_iters": _parse_iters,
-    "feature_channels": int,
-    "data_channels": int,
-    "input_channels": int,
-    "num_classes": int,
-    "use_avg_pool": _parse_bool,
-    "use_channel_norm": _parse_bool,
-    # training
-    "learning_rate": float,
-    "batch_size": int,
-    "epochs": int,
-    "log_every": int,
-    # seeds
-    "seed_model": int,
-    "seed_train": int,
-    "seed_split": int,
-    "seed_data": int,
-    # paths and protocol
-    "manifest": str,
-    "folds": str,
-    "checkpoint": str,
-    "out": str,
-    "k": int,
-    "fold": int,
-    "workers": int,
+    **_field_keys(MgNetConfig),
+    **_field_keys(TrainConfig),
+    **{key: parse for key, (parse, _, _) in _PROTOCOL_KEYS.items()},
 }
 
 
 def parse_config_file(path) -> dict:
     """Read a flat key=value configuration file; unknown keys are rejected."""
-    settings: dict = {}
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_SCHEMA:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            settings[key] = _CONFIG_SCHEMA[key](value)
-        except ConfigError:
-            raise
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad value {value!r} for key {key!r}") from None
-    return settings
-
-
-_FLAG_TO_KEY = {
-    "manifest": "manifest",
-    "folds": "folds",
-    "fold": "fold",
-    "k": "k",
-    "seed_model": "seed_model",
-    "seed_train": "seed_train",
-    "seed_split": "seed_split",
-    "seed_data": "seed_data",
-    "checkpoint": "checkpoint",
-    "out": "out",
-    "workers": "workers",
-    "epochs": "epochs",
-}
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not UTF-8: {exc}") from None
+    return {key: value for _, key, value in parse_key_values(text, _CONFIG_SCHEMA, f"{path}:")}
 
 
 def _resolve(args) -> dict:
-    """Merged settings: schema defaults < config file < explicit flags."""
-    settings = {
-        "seed_model": 0,
-        "seed_train": 0,
-        "seed_split": 0,
-        "seed_data": 0,
-        "k": 10,
-        "workers": 1,
-    }
+    """Merged settings: protocol defaults < config file < explicit flags."""
+    settings = {key: default for key, (_, default, _) in _PROTOCOL_KEYS.items() if default is not None}
     if getattr(args, "config", None):
         settings.update(parse_config_file(args.config))
-    for attr, key in _FLAG_TO_KEY.items():
-        value = getattr(args, attr, None)
+    for key in _CONFIG_SCHEMA:  # each flag is named after its key
+        value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
     if getattr(args, "no_avg_pool", False):
@@ -165,29 +120,10 @@ def _resolve(args) -> dict:
     return settings
 
 
-def _model_config(settings: dict) -> MgNetConfig:
-    kwargs = {}
-    for name in (
-        "num_grids",
-        "smoothing_iters",
-        "feature_channels",
-        "data_channels",
-        "input_channels",
-        "num_classes",
-        "use_avg_pool",
-        "use_channel_norm",
-    ):
-        if name in settings:
-            kwargs[name] = settings[name]
-    return MgNetConfig(seed=settings["seed_model"], **kwargs)
-
-
-def _train_config(settings: dict) -> TrainConfig:
-    kwargs = {}
-    for name in ("learning_rate", "batch_size", "epochs", "log_every"):
-        if name in settings:
-            kwargs[name] = settings[name]
-    cfg = TrainConfig(seed=settings["seed_train"], **kwargs)
+def _config(cls, settings: dict, seed_key: str):
+    """The MgNetConfig or TrainConfig that the settings describe."""
+    names = _field_keys(cls)
+    cfg = cls(seed=settings[seed_key], **{k: v for k, v in settings.items() if k in names})
     cfg.validate()
     return cfg
 
@@ -279,8 +215,8 @@ def cmd_train(args) -> int:
     fold = int(_require(settings, "fold", "--fold"))
     out_dir = Path(_require(settings, "out", "--out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    model_cfg = _model_config(settings)
-    train_cfg = _train_config(settings)
+    model_cfg = _config(MgNetConfig, settings, "seed_model")
+    train_cfg = _config(TrainConfig, settings, "seed_train")
     print(f"seed_model={settings['seed_model']}")
     print(f"seed_train={settings['seed_train']}")
 
@@ -344,7 +280,7 @@ def cmd_eval(args) -> int:
 
 def cmd_params(args) -> int:
     settings = _resolve(args)
-    params = build(_model_config(settings))
+    params = build(_config(MgNetConfig, settings, "seed_model"))
     for name, count in param_breakdown(params):
         print(f"params_{name}={count}")
     total = param_count(params)
@@ -359,8 +295,8 @@ def cmd_params(args) -> int:
 def cmd_cv(args) -> int:
     settings = _resolve(args)
     manifest = load_manifest(_require(settings, "manifest", "--manifest"))
-    model_cfg = _model_config(settings)
-    train_cfg = _train_config(settings)
+    model_cfg = _config(MgNetConfig, settings, "seed_model")
+    train_cfg = _config(TrainConfig, settings, "seed_train")
     seed_lines = [
         f"seed_model={settings['seed_model']}",
         f"seed_train={settings['seed_train']}",
@@ -396,79 +332,43 @@ def cmd_cv(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
-    specs = {
-        "config": (str, "flat key=value configuration file"),
-        "manifest": (str, "dataset manifest CSV"),
-        "folds": (str, "fold assignment CSV"),
-        "fold": (int, "fold index"),
-        "k": (int, "number of folds"),
-        "seed_model": (int, "initialization seed"),
-        "seed_train": (int, "shuffle seed"),
-        "seed_split": (int, "fold assignment seed"),
-        "seed_data": (int, "dataset generation seed"),
-        "checkpoint": (str, "checkpoint path"),
-        "out": (str, "output directory"),
-        "workers": (int, "parallel fold workers"),
-        "epochs": (int, "training epochs"),
-    }
-    for name in names:
-        typ, help_text = specs[name]
-        parser.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None, help=help_text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mgnet3d",
         description="Multigrid convolutional network for volumetric binary classification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
-    _add_common(p, "config", "out", "seed_data")
-    p.add_argument("--subjects-per-class", type=int, default=10)
-    p.add_argument("--scans-per-subject", type=int, default=2)
-    p.add_argument("--size", type=str, default="16", help="cubic extent N or DxHxW")
-    p.add_argument("--effect-size", type=float, default=1.0)
-    p.add_argument("--noise-std", type=float, default=0.1)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("split", help="write a subject-grouped stratified fold assignment")
-    _add_common(p, "config", "manifest", "k", "seed_split", "out")
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("train", help="train on all folds except one")
-    _add_common(
-        p, "config", "manifest", "folds", "fold", "out", "seed_model", "seed_train", "epochs"
-    )
-    p.add_argument("--no-avg-pool", action="store_true", help="disable coarse-grid average pooling")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on listed scans")
-    _add_common(p, "config", "checkpoint", "manifest", "folds", "fold")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("params", help="report the exact parameter count")
-    _add_common(p, "config")
-    p.add_argument("--no-avg-pool", action="store_true", help="disable coarse-grid average pooling")
-    p.set_defaults(func=cmd_params)
-
-    p = sub.add_parser("cv", help="run full cross-validation")
-    _add_common(
-        p,
-        "config",
-        "manifest",
-        "k",
-        "out",
-        "seed_model",
-        "seed_train",
-        "seed_split",
-        "workers",
-        "epochs",
-    )
-    p.add_argument("--no-avg-pool", action="store_true", help="disable coarse-grid average pooling")
-    p.set_defaults(func=cmd_cv)
-
+    train_keys = _field_keys(TrainConfig)
+    commands = (
+        ("synth", cmd_synth, "generate a synthetic labeled dataset", ("out", "seed_data")),
+        ("split", cmd_split, "write a subject-grouped stratified fold assignment",
+         ("manifest", "k", "seed_split", "out")),
+        ("train", cmd_train, "train on all folds except one",
+         ("manifest", "folds", "fold", "out", "seed_model", "seed_train", "epochs")),
+        ("eval", cmd_eval, "evaluate a checkpoint on listed scans",
+         ("checkpoint", "manifest", "folds", "fold")),
+        ("params", cmd_params, "report the exact parameter count", ()),
+        ("cv", cmd_cv, "run full cross-validation",
+         ("manifest", "k", "out", "seed_model", "seed_train", "seed_split", "workers", "epochs")),
+    )  # fmt: skip
+    for name, func, help_text, keys in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", type=str, default=None, help="flat key=value configuration file")
+        for key in keys:
+            if key in train_keys:
+                parse, flag_help = train_keys[key], f"training {key.replace('_', ' ')}"
+            else:
+                parse, _, flag_help = _PROTOCOL_KEYS[key]
+            p.add_argument(f"--{key.replace('_', '-')}", type=parse, default=None, help=flag_help)
+        if name in ("train", "params", "cv"):
+            p.add_argument("--no-avg-pool", action="store_true", help="disable coarse-grid average pooling")
+        if name == "synth":
+            p.add_argument("--subjects-per-class", type=int, default=10)
+            p.add_argument("--scans-per-subject", type=int, default=2)
+            p.add_argument("--size", type=str, default="16", help="cubic extent N or DxHxW")
+            p.add_argument("--effect-size", type=float, default=1.0)
+            p.add_argument("--noise-std", type=float, default=0.1)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -62,6 +62,8 @@ def roc_auc(labels, scores) -> float:
     s = np.asarray(list(scores), dtype=np.float64)
     if s.ndim != 1 or s.size != y.size:
         raise ArgumentError(f"got {y.size} labels but {s.size} scores")
+    if np.isnan(s).any():
+        raise ArgumentError("roc_auc got a NaN score")
     n_pos = int((y == 1).sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -16,7 +16,7 @@ well below a comparable 3D residual network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -320,62 +320,82 @@ def param_breakdown(params: MgNetParams) -> list[tuple[str, int]]:
     return list(groups.items())
 
 
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"expected a boolean, got {text!r}")
+
+
+def _parse_iters(text: str) -> int | tuple[int, ...]:
+    values = tuple(int(p) for p in text.split(",") if p)
+    if not values:
+        raise ValueError("no smoothing pass counts")
+    return values[0] if len(values) == 1 else values
+
+
+# A config field's annotation (a string under postponed evaluation) picks
+# how its value is read from and written to key=value text.
+_VALUE_CODECS = {
+    "int": (int, str),
+    "float": (float, str),
+    "bool": (_parse_bool, lambda v: str(int(v))),
+    "int | tuple[int, ...]": (_parse_iters, lambda v: ",".join(str(i) for i in v)),
+}
+
+
+def field_parsers(cls) -> dict:
+    """Value parser per field of a config dataclass, in field order."""
+    return {f.name: _VALUE_CODECS[f.type][0] for f in fields(cls)}
+
+
+def parse_key_values(text: str, schema: dict, where: str) -> Iterator[tuple[int, str, object]]:
+    """Yield (line number, key, parsed value) per ``key=value`` line of text.
+
+    ``#`` starts a comment, blank lines are skipped and both sides are
+    stripped. A line without ``=``, a key missing from ``schema`` or a value
+    its parser rejects raises ConfigError prefixed with ``where`` and the
+    line number.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{where}{lineno}: expected key=value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in schema:
+            raise ConfigError(f"{where}{lineno}: unknown config key {key!r}")
+        try:
+            parsed = schema[key](value)
+        except ConfigError:
+            raise
+        except ValueError:
+            raise ConfigError(f"{where}{lineno}: bad value {value!r} for key {key!r}") from None
+        yield lineno, key, parsed
+
+
 def _config_to_bytes(config: MgNetConfig) -> bytes:
-    lines = [
-        f"num_grids={config.num_grids}",
-        "smoothing_iters=" + ",".join(str(v) for v in config.smoothing_iters),
-        f"feature_channels={config.feature_channels}",
-        f"data_channels={config.data_channels}",
-        f"input_channels={config.input_channels}",
-        f"num_classes={config.num_classes}",
-        f"use_avg_pool={int(config.use_avg_pool)}",
-        f"use_channel_norm={int(config.use_channel_norm)}",
-        f"seed={config.seed}",
-    ]
+    lines = [f"{f.name}={_VALUE_CODECS[f.type][1](getattr(config, f.name))}" for f in fields(config)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _config_from_bytes(blob: bytes) -> MgNetConfig:
-    fields: dict[str, str] = {}
+    schema = field_parsers(MgNetConfig)
+    values: dict = {}
     try:
-        text = blob.decode("utf-8")
+        for lineno, key, value in parse_key_values(blob.decode("utf-8"), schema, "line "):
+            if key in values:
+                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            values[key] = value
+        if values.keys() != schema.keys():
+            raise ConfigError(f"missing keys {sorted(schema.keys() - values.keys())}")
+        return MgNetConfig(**values)
     except UnicodeDecodeError as exc:
         raise FormatError(f"checkpoint config block is not UTF-8: {exc}") from None
-    for line in text.splitlines():
-        if not line:
-            continue
-        if "=" not in line:
-            raise FormatError(f"malformed checkpoint config line: {line!r}")
-        key, value = line.split("=", 1)
-        fields[key] = value
-    expected = {
-        "num_grids",
-        "smoothing_iters",
-        "feature_channels",
-        "data_channels",
-        "input_channels",
-        "num_classes",
-        "use_avg_pool",
-        "use_channel_norm",
-        "seed",
-    }
-    if set(fields) != expected:
-        raise FormatError(
-            f"checkpoint config keys {sorted(fields)} do not match expected {sorted(expected)}"
-        )
-    try:
-        return MgNetConfig(
-            num_grids=int(fields["num_grids"]),
-            smoothing_iters=tuple(int(v) for v in fields["smoothing_iters"].split(",")),
-            feature_channels=int(fields["feature_channels"]),
-            data_channels=int(fields["data_channels"]),
-            input_channels=int(fields["input_channels"]),
-            num_classes=int(fields["num_classes"]),
-            use_avg_pool=bool(int(fields["use_avg_pool"])),
-            use_channel_norm=bool(int(fields["use_channel_norm"])),
-            seed=int(fields["seed"]),
-        )
-    except (ValueError, ConfigError) as exc:
+    except ConfigError as exc:
         raise FormatError(f"invalid checkpoint config: {exc}") from None
 
 

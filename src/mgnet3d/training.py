@@ -51,6 +51,8 @@ class TrainConfig:
     log_every: int = 1
 
     def validate(self) -> None:
+        if not np.isfinite(self.learning_rate):
+            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate < 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
@@ -96,11 +98,7 @@ class RunHistory:
         self.epochs.append(stats)
 
     def lines(self) -> list[str]:
-        """Seed-determined content only; wall-clock stays in timing_lines()."""
         return [e.line() for e in self.epochs]
-
-    def timing_lines(self) -> list[str]:
-        return [f"time={e.wall_seconds:.3f} epoch={e.epoch}" for e in self.epochs]
 
     def final_loss(self) -> float:
         if not self.epochs:

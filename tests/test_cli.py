@@ -241,3 +241,41 @@ class TestErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["cv", "--manifest", str(dataset), "--bogus-flag"])
         assert excinfo.value.code == 2
+
+    def test_non_utf8_config_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# caf\xe9\nnum_grids=2\n".encode("latin-1"))
+        code, _, err = run(capsys, "params", "--config", str(cfg))
+        assert code == 2
+        assert "not UTF-8" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--seed-data", "-1"],
+        ["split", "--k", "2", "--seed-split", "-1"],
+        ["train", "--seed-model", "-1"],
+        ["cv", "--seed-train", "-1"],
+    ])
+    def test_negative_seed_flag_exit_2(self, capsys, tmp_path, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+        assert "non_negative_int" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["seed_data", "seed_split", "seed_model", "seed_train"])
+    def test_negative_seed_config_exit_2(self, capsys, tmp_path, key):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(f"{key}=-1\n")
+        code, out, err = run(capsys, "synth", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert out == ""
+        assert f"{cfg}:1: bad value '-1' for key {key!r}" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_exit_2(self, capsys, tmp_path, dataset, value):
+        cfg = tmp_path / "lr.cfg"
+        cfg.write_text(f"learning_rate={value}\n")
+        code, _, err = run(capsys, "cv", "--manifest", str(dataset), "--k", "2",
+                           "--config", str(cfg))
+        assert code == 2
+        assert "learning_rate must be finite" in err

@@ -66,6 +66,12 @@ class TestRocAuc:
         with pytest.raises(ArgumentError):
             roc_auc([0, 1], [0.5])
 
+    @pytest.mark.parametrize("scores", [[float("nan"), 0.5], [0.5, float("nan")]])
+    def test_nan_score_rejected(self, scores):
+        # NaN never equals itself, so the tie sweep would never advance.
+        with pytest.raises(ArgumentError, match="NaN"):
+            roc_auc([0, 1], scores)
+
     def test_matches_pair_oracle_with_ties(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 60))

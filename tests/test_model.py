@@ -324,7 +324,48 @@ class TestParamCount:
         assert sum(breakdown.values()) == total
 
 
+GOLDEN_CONFIG_BLOCK = (
+    b"num_grids=2\nsmoothing_iters=2,1\nfeature_channels=2\ndata_channels=2\n"
+    b"input_channels=1\nnum_classes=2\nuse_avg_pool=0\nuse_channel_norm=0\nseed=11\n"
+)
+
+
+def config_block(raw: bytes) -> bytes:
+    """The config block of an MGN3 file: after magic, version and its u32 length."""
+    return raw[12 : 12 + int.from_bytes(raw[8:12], "little")]
+
+
+def with_config_block(raw: bytes, block: bytes) -> bytes:
+    rest = raw[12 + len(config_block(raw)) :]
+    return raw[:8] + len(block).to_bytes(4, "little") + block + rest
+
+
 class TestCheckpoint:
+    def test_config_block_golden_bytes(self, tmp_path):
+        path = tmp_path / "model.mgn3"
+        mg.save_checkpoint(mg.build(tiny_config(smoothing_iters=(2, 1), use_avg_pool=False, seed=11)), path)
+        assert config_block(path.read_bytes()) == GOLDEN_CONFIG_BLOCK
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            GOLDEN_CONFIG_BLOCK.replace(b"seed=11\n", b""),
+            GOLDEN_CONFIG_BLOCK + b"dropout=0\n",
+            GOLDEN_CONFIG_BLOCK + b"num_grids=2\n",
+            GOLDEN_CONFIG_BLOCK.replace(b"seed=11", b"seed=\xff"),
+            GOLDEN_CONFIG_BLOCK.replace(b"num_grids=2", b"num_grids=two"),
+            GOLDEN_CONFIG_BLOCK.replace(b"use_avg_pool=0", b"use_avg_pool=2"),
+            GOLDEN_CONFIG_BLOCK.replace(b"seed=11", b"seed"),
+        ],
+        ids=["missing", "extra", "duplicate", "non_utf8", "bad_int", "bad_bool", "no_equals"],
+    )
+    def test_malformed_config_block(self, tmp_path, block):
+        path = tmp_path / "model.mgn3"
+        mg.save_checkpoint(mg.build(tiny_config(smoothing_iters=(2, 1), use_avg_pool=False, seed=11)), path)
+        path.write_bytes(with_config_block(path.read_bytes(), block))
+        with pytest.raises(FormatError, match="config"):
+            mg.load_checkpoint(path)
+
     def test_round_trip_bitwise(self, rng, tmp_path):
         params = mg.build(tiny_config(smoothing_iters=(2, 1), use_avg_pool=False, seed=11))
         path = tmp_path / "model.mgn3"

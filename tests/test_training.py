@@ -6,6 +6,7 @@ import pytest
 import mgnet3d as mg
 from mgnet3d import (
     ArgumentError,
+    ConfigError,
     DivergenceError,
     MgNetConfig,
     TrainConfig,
@@ -26,6 +27,13 @@ def tiny_model_config(**overrides):
                 data_channels=4, seed=5)
     base.update(overrides)
     return MgNetConfig(**base)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_learning_rate_rejected(self, lr):
+        with pytest.raises(ConfigError, match="learning_rate must be finite"):
+            TrainConfig(learning_rate=lr).validate()
 
 
 class TestTrain:
