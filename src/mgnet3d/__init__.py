@@ -58,13 +58,11 @@ from .tensor import (
     mean_scalars,
     no_grad,
     record,
-    reduce_sum,
     relu,
     scale,
     sgd_step,
     softmax_cross_entropy,
     sub,
-    weighted_sum,
 )
 from .training import (
     CvResult,

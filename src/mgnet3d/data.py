@@ -332,10 +332,9 @@ def synth_generate(
         raise ArgumentError(f"n_subjects_per_class must be >= 1, got {n_subjects_per_class}")
     if scans_per_subject < 1:
         raise ArgumentError(f"scans_per_subject must be >= 1, got {scans_per_subject}")
-    if effect_size < 0:
-        raise ArgumentError(f"effect_size must be >= 0, got {effect_size}")
-    if noise_std < 0:
-        raise ArgumentError(f"noise_std must be >= 0, got {noise_std}")
+    for name, value in (("effect_size", effect_size), ("noise_std", noise_std)):
+        if not (np.isfinite(value) and value >= 0):
+            raise ArgumentError(f"{name} must be finite and >= 0, got {value}")
     spatial = (int(size),) * 3 if isinstance(size, (int, np.integer)) else tuple(int(v) for v in size)
     if len(spatial) != 3 or min(spatial) < 4:
         raise ArgumentError(f"volume size must be 3 extents of at least 4, got {spatial}")

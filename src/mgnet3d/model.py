@@ -355,10 +355,11 @@ def parse_key_values(text: str, schema: dict, where: str) -> Iterator[tuple[int,
     """Yield (line number, key, parsed value) per ``key=value`` line of text.
 
     ``#`` starts a comment, blank lines are skipped and both sides are
-    stripped. A line without ``=``, a key missing from ``schema`` or a value
-    its parser rejects raises ConfigError prefixed with ``where`` and the
-    line number.
+    stripped. A line without ``=``, a key missing from ``schema``, a key
+    seen before or a value its parser rejects raises ConfigError prefixed
+    with ``where`` and the line number.
     """
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -368,6 +369,9 @@ def parse_key_values(text: str, schema: dict, where: str) -> Iterator[tuple[int,
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in schema:
             raise ConfigError(f"{where}{lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{where}{lineno}: duplicate key {key!r}")
+        seen.add(key)
         try:
             parsed = schema[key](value)
         except ConfigError:
@@ -384,12 +388,8 @@ def _config_to_bytes(config: MgNetConfig) -> bytes:
 
 def _config_from_bytes(blob: bytes) -> MgNetConfig:
     schema = field_parsers(MgNetConfig)
-    values: dict = {}
     try:
-        for lineno, key, value in parse_key_values(blob.decode("utf-8"), schema, "line "):
-            if key in values:
-                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            values[key] = value
+        values = {key: value for _, key, value in parse_key_values(blob.decode("utf-8"), schema, "line ")}
         if values.keys() != schema.keys():
             raise ConfigError(f"missing keys {sorted(schema.keys() - values.keys())}")
         return MgNetConfig(**values)

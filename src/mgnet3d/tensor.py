@@ -44,8 +44,6 @@ __all__ = [
     "linear",
     "softmax_cross_entropy",
     "channel_norm",
-    "reduce_sum",
-    "weighted_sum",
     "mean_scalars",
 ]
 
@@ -108,18 +106,23 @@ class Tape:
         if root.data.size != 1:
             raise ArgumentError(f"backward root must be a scalar, got shape {root.shape}")
         root.grad = np.ones_like(root.data)
+        # An output's gradient is dropped once its producer has consumed it,
+        # so only the adjoints still waiting for a consumer are held.
         for op in reversed(self.ops):
             if op.out.grad is not None:
                 op.adjoint(op.out.grad)
-        # Tensors that fed recorded operations but lie off the path to the
-        # root still finish with a concrete zero gradient. Each output also
-        # lets go of this tape: output -> tape -> op -> output is a cycle, and
-        # breaking it frees the tape and every activation it saved as soon
-        # as the caller drops the root, not at the next cyclic collection.
+                op.out.grad = None
+        # Leaves (tensors no op on this tape produced) that fed it but lie
+        # off the path to the root still finish with a concrete zero
+        # gradient. Each output then lets go of this tape: output -> tape ->
+        # op -> output is a cycle, and breaking it frees the tape and every
+        # activation it saved as soon as the caller drops the root, not at
+        # the next cyclic collection.
         for op in self.ops:
             for t in op.inputs:
-                if t.requires_grad and t.grad is None:
+                if t.requires_grad and t.grad is None and t._tape is not self:
                     t.grad = np.zeros_like(t.data)
+        for op in self.ops:
             op.out._tape = None
 
 
@@ -164,11 +167,14 @@ def no_grad():
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every tensor the recorded graph reaches from ``loss``.
+    """Populate ``grad`` on every leaf the recorded graph reaches from ``loss``.
 
-    Gradient buffers accumulate, so a tensor consumed by k operations ends
-    with the sum of k adjoint contributions. Tensors that fed the tape but
-    do not influence the loss end with an explicit zero gradient. A tape
+    Leaves are the tensors no recorded operation produced: parameters and
+    inputs. Gradient buffers accumulate, so a leaf consumed by k operations
+    ends with the sum of k adjoint contributions. Leaves that fed the tape
+    but do not influence the loss end with an explicit zero gradient.
+    Intermediate tensors and the root end with ``grad`` None: each one's
+    gradient is dropped as soon as its producer has consumed it. A tape
     runs once; afterwards it is freed together with the root.
     """
     tape = loss._tape
@@ -186,14 +192,28 @@ def _attach(out: Tensor, inputs: Sequence[Tensor], adjoint: Callable[[np.ndarray
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add the contribution ``g`` to ``t.grad``.
+
+    A first contribution never becomes ``t.grad`` as handed in (an adjoint
+    may pass one array to several inputs), and adding +0 turns a -0 into
+    +0, as a zero start would. ``owned`` says ``g`` is a fresh array of
+    t's shape and dtype that nothing else holds: it is then made +0 in
+    place and kept, instead of copied.
+    """
     if t.grad is None:
-        # A fresh array, never ``g`` itself (an adjoint may hand one array
-        # to several inputs); adding +0 turns a -0 into +0, as a zero start
-        # would.
-        t.grad = np.add(np.broadcast_to(g, t.data.shape), t.data.dtype.type(0), dtype=t.data.dtype)
+        zero = t.data.dtype.type(0)
+        if owned:
+            g += zero
+            t.grad = g
+        else:
+            t.grad = np.add(np.broadcast_to(g, t.data.shape), zero, dtype=t.data.dtype)
     else:
         t.grad += g
+
+
+def _pad_spatial(arr: np.ndarray, padding: int) -> np.ndarray:
+    return np.pad(arr, ((0, 0),) + ((padding, padding),) * 3) if padding else arr
 
 
 def conv_output_extent(n: int, kernel: int, stride: int, padding: int) -> int:
@@ -227,7 +247,7 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
     if min(out_sp) < 1:
         raise ShapeError(f"conv3d output extent would be non-positive: {out_sp} from input {x.shape}")
 
-    xp = np.pad(x.data, ((0, 0),) + ((padding, padding),) * 3) if padding else x.data
+    xp = _pad_spatial(x.data, padding)
     kdata = kernel.data
     dtype = x.data.dtype
     offsets = [(a, b, c) for a in range(kd) for b in range(kh) for c in range(kw)]
@@ -279,41 +299,69 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
         acc[:, :n] += part
     result = Tensor(crop(acc) + dtype.type(0), dtype=dtype)
 
-    def adjoint(g: np.ndarray) -> None:
-        if kernel.requires_grad:
-            # Per tap, gk = g [c_out, D*H*W] @ window [D*H*W, c_in]. Each
-            # window is copied out of a channels-last source into one reused
-            # buffer, so the copy moves whole c_in rows; the GEMM's operands
-            # are those of a per-tap tensordot, and so is its rounding.
-            src_cl = src.transpose(1, 2, 3, 0).copy()
+    def kernel_grad(g: np.ndarray) -> np.ndarray:
+        # Per tap, gk = g [c_out, oD*oH*oW] @ window [oD*oH*oW, c_in]. The
+        # windows come from a channels-last copy of src, so a copy moves
+        # whole c_in rows; it is rebuilt here from x, which the tape holds
+        # anyway, instead of keeping src alive until backward. Each GEMM's
+        # operands are those of a per-tap tensordot, and so is its rounding.
+        if kd == 1:
+            src_cl = tap(_pad_spatial(x.data, padding), 0, 0, 0).transpose(1, 2, 3, 0)
+        else:
+            src_cl = np.zeros((d + 2 * padding, h + 2 * padding, w + 2 * padding, c_in), dtype=dtype)
+            src_cl[padding : padding + d, padding : padding + h, padding : padding + w] = x.data.transpose(
+                1, 2, 3, 0
+            )
+        g_rows = g.reshape(c_out, -1)
+        gk = np.empty_like(kdata)
+        if step == 1:
+            # One [sd, oH, oW, c_in] slab per (b, c); tap (a, b, c)'s window
+            # is the contiguous run of the slab's rows from plane a on, so a
+            # 3x3x3 kernel makes 9 copies instead of 27.
+            slab = np.empty((src_cl.shape[0],) + out_sp[1:] + (c_in,), dtype=dtype)
+            rows = slab.reshape(-1, c_in)
+            plane = out_sp[1] * out_sp[2]
+            for b in range(kh):
+                for c in range(kw):
+                    np.copyto(slab, src_cl[:, b : b + out_sp[1], c : c + out_sp[2]])
+                    for a in range(kd):
+                        gk[:, :, a, b, c] = np.dot(g_rows, rows[a * plane : (a + out_sp[0]) * plane])
+        else:
             window = np.empty(out_sp + (c_in,), dtype=dtype)
-            g_rows = g.reshape(c_out, -1)
-            gk = np.empty_like(kdata)
             span = [step * (m - 1) + 1 for m in out_sp]
             for a, b, c in offsets:
                 np.copyto(
                     window, src_cl[a : a + span[0] : step, b : b + span[1] : step, c : c + span[2] : step]
                 )
                 gk[:, :, a, b, c] = np.dot(g_rows, window.reshape(-1, c_in))
-            _accumulate(kernel, gk)
+        return gk
+
+    def src_grad(g: np.ndarray) -> np.ndarray:
+        # The output gradient on the flat layout, zero on the columns the
+        # crop drops (wrapped ones, and the odd ones of stride 2) so that
+        # they add exact zeros. A 1x1x1 kernel's crop keeps every column.
+        if g.shape[1:] == (full[0], sh, sw):
+            g_ext = g.reshape(c_out, -1)
+        else:
+            g_ext = np.zeros((c_out, full[0] * sh * sw), dtype=g.dtype)
+            crop(g_ext)[...] = g
+        taps_t = kdata.transpose(2, 3, 4, 1, 0).reshape(len(offsets), c_in, c_out).copy()
+        bwd_product = np.multiply if c_out == 1 else np.matmul
+        gsrc = np.zeros((c_in, sd * sh * sw), dtype=g.dtype)
+        bwd_product(taps_t[0], g_ext[:, :n], out=gsrc[:, :n])
+        part = np.empty((c_in, n), dtype=g.dtype)
+        for t, s in enumerate(shifts[1:], start=1):
+            bwd_product(taps_t[t], g_ext[:, :n], out=part)
+            gsrc[:, s : s + n] += part
+        return gsrc.reshape(c_in, sd, sh, sw)
+
+    def adjoint(g: np.ndarray) -> None:
+        # Each helper's scratch buffers are freed when it returns, before
+        # the next one allocates its own.
+        if kernel.requires_grad:
+            _accumulate(kernel, kernel_grad(g), owned=True)
         if x.requires_grad:
-            # The output gradient on the flat layout, zero on the columns the
-            # crop drops (wrapped ones, and the odd ones of stride 2) so that
-            # they add exact zeros. A 1x1x1 kernel's crop keeps every column.
-            if g.shape[1:] == (full[0], sh, sw):
-                g_ext = g.reshape(c_out, -1)
-            else:
-                g_ext = np.zeros((c_out, full[0] * sh * sw), dtype=g.dtype)
-                crop(g_ext)[...] = g
-            taps_t = kdata.transpose(2, 3, 4, 1, 0).reshape(len(offsets), c_in, c_out).copy()
-            bwd_product = np.multiply if c_out == 1 else np.matmul
-            gsrc = np.zeros((c_in, sd * sh * sw), dtype=g.dtype)
-            bwd_product(taps_t[0], g_ext[:, :n], out=gsrc[:, :n])
-            part = np.empty((c_in, n), dtype=g.dtype)
-            for t, s in enumerate(shifts[1:], start=1):
-                bwd_product(taps_t[t], g_ext[:, :n], out=part)
-                gsrc[:, s : s + n] += part
-            gsrc = gsrc.reshape(c_in, sd, sh, sw)
+            gsrc = src_grad(g)
             if kd == 1 and not padding:
                 # A grid transfer read a strided subset of x: add into those
                 # voxels, not through a zero-filled buffer of the fine grid.
@@ -322,7 +370,7 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
                 tap(x.grad, 0, 0, 0)[...] += gsrc
                 return
             if kd == 1:
-                gxp = np.zeros_like(xp)
+                gxp = np.zeros((c_in, d + 2 * padding, h + 2 * padding, w + 2 * padding), dtype=dtype)
                 tap(gxp, 0, 0, 0)[...] += gsrc
             else:
                 gxp = gsrc
@@ -338,7 +386,7 @@ def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0), dtype=x.data.dtype)
 
     def adjoint(g: np.ndarray) -> None:
-        _accumulate(x, g * (x.data > 0))
+        _accumulate(x, g * (x.data > 0), owned=True)
 
     return _attach(out, (x,), adjoint)
 
@@ -515,29 +563,6 @@ def channel_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
         gm = g.mean(axis=(1, 2, 3), keepdims=True)
         gy = np.mean(g * y, axis=(1, 2, 3), keepdims=True)
         _accumulate(x, inv * (g - gm - y * gy))
-
-    return _attach(out, (x,), adjoint)
-
-
-def reduce_sum(x: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    out = Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype), dtype=x.data.dtype)
-
-    def adjoint(g: np.ndarray) -> None:
-        _accumulate(x, np.broadcast_to(g, x.data.shape))
-
-    return _attach(out, (x,), adjoint)
-
-
-def weighted_sum(x: Tensor, weights: np.ndarray) -> Tensor:
-    """Dot product with a constant weight array of the same shape."""
-    w = np.asarray(weights, dtype=x.data.dtype)
-    if w.shape != x.data.shape:
-        raise ShapeError(f"weights shape {w.shape} must match tensor shape {x.shape}")
-    out = Tensor(np.asarray((x.data * w).sum(), dtype=x.data.dtype), dtype=x.data.dtype)
-
-    def adjoint(g: np.ndarray) -> None:
-        _accumulate(x, g * w)
 
     return _attach(out, (x,), adjoint)
 

@@ -2,7 +2,9 @@
 
 The convolution and pooling references are direct per-voxel summation
 loops in float64. Gradient checks run the library's own code on float64
-tensors and compare against central finite differences.
+tensors and compare against central finite differences; the scalar they
+differentiate comes from the loss probes ``reduce_sum`` and
+``weighted_sum``, two recorded ops that only the tests use.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import numpy as np
 
 from mgnet3d import (
     MgNetParams,
+    ShapeError,
     Tensor,
     backward,
     channel_norm,
@@ -22,6 +25,31 @@ from mgnet3d import (
     restrict,
     smooth,
 )
+from mgnet3d.tensor import _accumulate, _attach
+
+
+def reduce_sum(x: Tensor) -> Tensor:
+    """Sum of all elements, as a scalar tensor: a loss probe for gradient checks."""
+    out = Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype), dtype=x.data.dtype)
+
+    def adjoint(g: np.ndarray) -> None:
+        _accumulate(x, np.broadcast_to(g, x.data.shape))
+
+    return _attach(out, (x,), adjoint)
+
+
+def weighted_sum(x: Tensor, weights: np.ndarray) -> Tensor:
+    """Dot product with a constant weight array of the same shape: a scalar
+    loss whose gradient with respect to ``x`` is ``weights``."""
+    w = np.asarray(weights, dtype=x.data.dtype)
+    if w.shape != x.data.shape:
+        raise ShapeError(f"weights shape {w.shape} must match tensor shape {x.shape}")
+    out = Tensor(np.asarray((x.data * w).sum(), dtype=x.data.dtype), dtype=x.data.dtype)
+
+    def adjoint(g: np.ndarray) -> None:
+        _accumulate(x, g * w)
+
+    return _attach(out, (x,), adjoint)
 
 
 def conv3d_reference(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int) -> np.ndarray:

@@ -271,6 +271,24 @@ class TestErrors:
         assert out == ""
         assert f"{cfg}:1: bad value '-1' for key {key!r}" in err
 
+    def test_duplicate_config_key_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("num_grids=1\nsmoothing_iters=1\nnum_grids=2\n")
+        code, out, err = run(capsys, "params", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"{cfg}:3: duplicate key 'num_grids'" in err
+
+    @pytest.mark.parametrize("flag", ["--effect-size", "--noise-std"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_synth_parameter_exit_2(self, capsys, tmp_path, flag, value):
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "synth", "--out", str(out_dir), "--size", "4",
+                           "--subjects-per-class", "1", "--scans-per-subject", "1", flag, value)
+        assert code == 2
+        assert "must be finite" in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_learning_rate_exit_2(self, capsys, tmp_path, dataset, value):
         cfg = tmp_path / "lr.cfg"

@@ -11,7 +11,7 @@ import pytest
 import mgnet3d as mg
 from mgnet3d import Tensor, backward, record
 
-from helpers import check_gradients, f64_tensor, params_to_f64
+from helpers import check_gradients, f64_tensor, params_to_f64, reduce_sum, weighted_sum
 
 
 def away_from_kinks(arr, margin=0.05):
@@ -25,18 +25,18 @@ class TestOpGradients:
         x = f64_tensor(rng, (2, 4, 5, 4))
         k = f64_tensor(rng, (3, 2, ksize, ksize, ksize), scale=0.5)
         w = rng.normal(size=(3,) + tuple((n + 2 * padding - ksize) // stride + 1 for n in (4, 5, 4)))
-        check_gradients(lambda: mg.weighted_sum(mg.conv3d(x, k, stride, padding), w), [x, k])
+        check_gradients(lambda: weighted_sum(mg.conv3d(x, k, stride, padding), w), [x, k])
 
     def test_relu(self, rng):
         data = away_from_kinks(rng.normal(size=(3, 4, 4, 4)))
         x = Tensor(data, requires_grad=True, dtype=np.float64)
         w = rng.normal(size=x.shape)
-        check_gradients(lambda: mg.weighted_sum(mg.relu(x), w), [x])
+        check_gradients(lambda: weighted_sum(mg.relu(x), w), [x])
 
     def test_relu_worked_example(self):
         x = Tensor(np.asarray([-1.0, 2.0]), requires_grad=True, dtype=np.float64)
         with record():
-            loss = mg.reduce_sum(mg.relu(x))
+            loss = reduce_sum(mg.relu(x))
         backward(loss)
         assert np.array_equal(x.grad, [0.0, 1.0])
 
@@ -44,28 +44,28 @@ class TestOpGradients:
         a = f64_tensor(rng, (3, 3))
         b = f64_tensor(rng, (3, 3))
         with record():
-            loss = mg.reduce_sum(mg.sub(a, b))
+            loss = reduce_sum(mg.sub(a, b))
         backward(loss)
         assert np.array_equal(a.grad, np.ones((3, 3)))
         assert np.array_equal(b.grad, -np.ones((3, 3)))
         a.grad = b.grad = None
         w = rng.normal(size=(3, 3))
-        check_gradients(lambda: mg.weighted_sum(mg.add(a, b), w), [a, b])
+        check_gradients(lambda: weighted_sum(mg.add(a, b), w), [a, b])
 
     def test_avg_pool3d(self, rng):
         x = f64_tensor(rng, (2, 3, 4, 3))
         w = rng.normal(size=x.shape)
-        check_gradients(lambda: mg.weighted_sum(mg.avg_pool3d(x), w), [x])
+        check_gradients(lambda: weighted_sum(mg.avg_pool3d(x), w), [x])
 
     def test_global_avg_pool(self, rng):
         x = f64_tensor(rng, (2, 3, 3, 3))
         w = rng.normal(size=(2,))
-        check_gradients(lambda: mg.weighted_sum(mg.global_avg_pool(x), w), [x])
+        check_gradients(lambda: weighted_sum(mg.global_avg_pool(x), w), [x])
 
     def test_global_avg_pool_sum_gradient(self, rng):
         x = f64_tensor(rng, (2, 3, 4, 5))
         with record():
-            loss = mg.reduce_sum(mg.global_avg_pool(x))
+            loss = reduce_sum(mg.global_avg_pool(x))
         backward(loss)
         assert np.allclose(x.grad, 1.0 / (3 * 4 * 5))
 
@@ -74,7 +74,7 @@ class TestOpGradients:
         w = f64_tensor(rng, (3, 4))
         b = f64_tensor(rng, (3,))
         wt = rng.normal(size=(3,))
-        worst = check_gradients(lambda: mg.weighted_sum(mg.linear(x, w, b), wt), [x, w, b])
+        worst = check_gradients(lambda: weighted_sum(mg.linear(x, w, b), wt), [x, w, b])
         assert worst < 1e-3
 
     def test_softmax_cross_entropy(self, rng):
@@ -93,20 +93,20 @@ class TestOpGradients:
     def test_channel_norm(self, rng):
         x = f64_tensor(rng, (2, 3, 3, 3))
         w = rng.normal(size=x.shape)
-        check_gradients(lambda: mg.weighted_sum(mg.channel_norm(x), w), [x])
+        check_gradients(lambda: weighted_sum(mg.channel_norm(x), w), [x])
 
     def test_scale_and_sums(self, rng):
         x = f64_tensor(rng, (5,))
         w = rng.normal(size=(5,))
-        check_gradients(lambda: mg.weighted_sum(mg.scale(x, -1.7), w), [x])
-        check_gradients(lambda: mg.reduce_sum(x), [x])
+        check_gradients(lambda: weighted_sum(mg.scale(x, -1.7), w), [x])
+        check_gradients(lambda: reduce_sum(x), [x])
 
 
 class TestGraphGradients:
     def test_sum_gives_ones(self, rng):
         x = f64_tensor(rng, (3, 4))
         with record():
-            loss = mg.reduce_sum(x)
+            loss = reduce_sum(x)
         backward(loss)
         assert np.array_equal(x.grad, np.ones((3, 4)))
 
@@ -130,13 +130,13 @@ class TestGraphGradients:
         w = rng.normal(size=(1, 3, 3, 3))
 
         def loss():
-            return mg.weighted_sum(mg.add(mg.conv3d(x, k1), mg.conv3d(x, k2)), w)
+            return weighted_sum(mg.add(mg.conv3d(x, k1), mg.conv3d(x, k2)), w)
 
         check_gradients(loss, [x, k1, k2])
         # Direct accumulation: y = x + x doubles the incoming gradient.
         z = f64_tensor(rng, (4,))
         with record():
-            total = mg.reduce_sum(mg.add(z, z))
+            total = reduce_sum(mg.add(z, z))
         backward(total)
         assert np.array_equal(z.grad, 2.0 * np.ones(4))
 
@@ -145,7 +145,7 @@ class TestGraphGradients:
         orphan = f64_tensor(rng, (3,))
         with record():
             mg.relu(orphan)  # recorded, but not part of the loss
-            loss = mg.reduce_sum(mg.relu(x))
+            loss = reduce_sum(mg.relu(x))
         backward(loss)
         assert orphan.grad is not None
         assert np.array_equal(orphan.grad, np.zeros(3))

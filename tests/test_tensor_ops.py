@@ -1,6 +1,7 @@
 """Forward semantics of the tensor engine operations."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,7 +12,13 @@ from hypothesis import strategies as st
 import mgnet3d as mg
 from mgnet3d import ArgumentError, ShapeError, StateError, Tensor
 
-from helpers import avg_pool3d_reference, conv3d_reference, conv3d_taps_reference
+from helpers import (
+    avg_pool3d_reference,
+    conv3d_reference,
+    conv3d_taps_reference,
+    reduce_sum,
+    weighted_sum,
+)
 
 
 def t(arr, dtype=np.float32, requires_grad=False):
@@ -139,7 +146,7 @@ class TestConv3dFloat32Rounding:
             xt.grad = earlier.copy()
         with mg.record():
             y = mg.conv3d(xt, kt, stride=stride, padding=padding)
-            loss = mg.weighted_sum(y, g)
+            loss = weighted_sum(y, g)
         mg.backward(loss)
         assert y.dtype == xt.grad.dtype == kt.grad.dtype == np.float32
         assert np.array_equal(y.data, want_out)
@@ -168,9 +175,9 @@ class TestElementwise:
     def test_scale_and_sums(self, rng):
         x = t(rng.normal(size=(5,)))
         assert np.allclose(mg.scale(x, 2.0).data, 2.0 * x.data)
-        assert mg.reduce_sum(x).item() == pytest.approx(float(x.data.sum()))
+        assert reduce_sum(x).item() == pytest.approx(float(x.data.sum()))
         w = rng.normal(size=(5,)).astype(np.float32)
-        assert mg.weighted_sum(x, w).item() == pytest.approx(float((x.data * w).sum()))
+        assert weighted_sum(x, w).item() == pytest.approx(float((x.data * w).sum()))
 
     def test_mean_scalars(self):
         terms = [t(1.0), t(2.0), t(6.0)]
@@ -315,7 +322,7 @@ class TestTapeSemantics:
         with mg.record() as tape:
             a = mg.relu(x)
             b = mg.scale(a, 2.0)
-            c = mg.reduce_sum(b)
+            c = reduce_sum(b)
         assert [op.out for op in tape.ops] == [a, b, c]
 
     def test_backward_without_record(self):
@@ -339,7 +346,7 @@ class TestTapeSemantics:
         gc.disable()
         try:
             with mg.record() as tape:
-                loss = mg.reduce_sum(mg.relu(mg.conv3d(x, k)))
+                loss = reduce_sum(mg.relu(mg.conv3d(x, k)))
             freed = weakref.ref(tape)
             del tape
             mg.backward(loss)
@@ -353,7 +360,7 @@ class TestTapeSemantics:
         # A -0 first contribution lands as +0, as it would on a zero start.
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         with mg.record():
-            loss = mg.weighted_sum(x, np.array([-0.0, 1.0, -0.0]))
+            loss = weighted_sum(x, np.array([-0.0, 1.0, -0.0]))
         mg.backward(loss)
         assert np.array_equal(x.grad, [0.0, 1.0, 0.0])
         assert not np.signbit(x.grad).any()
@@ -361,10 +368,39 @@ class TestTapeSemantics:
         a = Tensor(rng.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
         b = Tensor(rng.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
         with mg.record():
-            loss = mg.reduce_sum(mg.add(a, b))
+            loss = reduce_sum(mg.add(a, b))
         mg.backward(loss)
         assert np.array_equal(a.grad, np.ones((2, 3))) and np.array_equal(b.grad, a.grad)
         assert not np.shares_memory(a.grad, b.grad)
+        # relu keeps its own masked product as a first gradient: a negative
+        # g on a masked voxel gives -0 there, which must still land as +0.
+        r = Tensor(np.array([-1.0, 2.0, -3.0, 4.0], dtype=np.float32), requires_grad=True)
+        with mg.record():
+            y = mg.relu(r)
+            loss = weighted_sum(y, np.array([-1.0, -2.0, 5.0, 3.0]))
+        mg.backward(loss)
+        assert np.array_equal(r.grad, [0.0, -2.0, 0.0, 3.0])
+        assert not np.signbit(r.grad[[0, 2]]).any()
+        assert r.grad.dtype == np.float32
+
+    def test_gradient_lifetime(self, rng):
+        # Leaves keep their gradients, a leaf off the path to the root gets
+        # zeros, and every recorded output (the root included) ends with
+        # none: each is dropped once its producer has consumed it.
+        x = Tensor(rng.normal(size=(2, 4, 4, 4)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.normal(size=(2, 2, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        orphan = Tensor(rng.normal(size=(3,)).astype(np.float32), requires_grad=True)
+        with mg.record() as tape:
+            off_path = mg.relu(orphan)
+            h = mg.relu(mg.conv3d(x, k))
+            loss = reduce_sum(h)
+        mg.backward(loss)
+        assert x.grad is not None and np.abs(x.grad).max() > 0
+        assert k.grad is not None and np.abs(k.grad).max() > 0
+        assert np.array_equal(orphan.grad, np.zeros(3)) and not np.signbit(orphan.grad).any()
+        assert len(tape.ops) == 4
+        assert all(op.out.grad is None for op in tape.ops)
+        assert off_path.grad is None and h.grad is None and loss.grad is None
 
     def test_no_grad_suppresses_recording(self, rng):
         x = Tensor(rng.normal(size=(3,)).astype(np.float32), requires_grad=True)
@@ -372,3 +408,47 @@ class TestTapeSemantics:
             with mg.no_grad():
                 mg.relu(x)
         assert tape.ops == []
+
+
+class TestBackwardMemory:
+    """A chain of relu(conv3d) layers, c=8 at 24^3, measured with tracemalloc
+    (numpy reports its buffers to it)."""
+
+    channels, extent = 8, 24
+
+    def run_chain(self, depth: int) -> tuple[float, int]:
+        """(memory the forward holds / the tape's output bytes, backward's
+        peak above what the forward left)."""
+        rng = np.random.default_rng(5)
+        c, n = self.channels, self.extent
+        tracemalloc.start()
+        try:
+            x = t(rng.normal(size=(c, n, n, n)), requires_grad=True)
+            kernels = [t(0.1 * rng.normal(size=(c, c, 3, 3, 3)), requires_grad=True) for _ in range(depth)]
+            before = tracemalloc.get_traced_memory()[0]
+            with mg.record() as tape:
+                h = x
+                for k in kernels:
+                    h = mg.relu(mg.conv3d(h, k))
+                loss = reduce_sum(h)
+            held = tracemalloc.get_traced_memory()[0] - before
+            out_bytes = sum(op.out.data.nbytes for op in tape.ops)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            mg.backward(loss)
+            extra = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and all(k.grad is not None for k in kernels)
+        return held / out_bytes, extra
+
+    def test_tape_holds_its_outputs_and_no_padded_copies(self):
+        ratio, _ = self.run_chain(12)
+        assert ratio <= 1.1
+
+    def test_backward_peak_does_not_grow_with_depth(self):
+        activation = 4 * self.channels * self.extent**3
+        _, shallow = self.run_chain(3)
+        _, deep = self.run_chain(12)
+        assert deep - shallow <= activation, (shallow / activation, deep / activation)
+
