@@ -23,7 +23,7 @@ import sys
 import time
 from pathlib import Path
 
-from .data import FoldAssignment, load_manifest, stratified_group_kfold, synth_generate
+from .data import FoldAssignment, atomic_write, load_manifest, stratified_group_kfold, synth_generate
 from .errors import (
     ArgumentError,
     ConfigError,
@@ -155,6 +155,11 @@ def _summary_lines(summary: dict[str, float]) -> list[str]:
     return [f"{key}={_fmt(value)}" for key, value in summary.items()]
 
 
+def _write_lines(path: Path, lines: list[str]) -> None:
+    with atomic_write(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+
+
 def _parse_size(text: str):
     parts = text.lower().split("x")
     try:
@@ -238,7 +243,7 @@ def cmd_train(args) -> int:
     checkpoint_path = out_dir / "checkpoint.mgn3"
     save_checkpoint(params, checkpoint_path)
     history_path = out_dir / "history.log"
-    history_path.write_text("\n".join(history.lines()) + "\n")
+    _write_lines(history_path, history.lines())
 
     summary_lines = [
         f"fold={fold}",
@@ -250,7 +255,7 @@ def cmd_train(args) -> int:
         if final_metrics is None:
             final_metrics = evaluate(params, eval_records, geometry=manifest.geometry)
         summary_lines.extend(metrics_lines(final_metrics))
-    (out_dir / "summary.txt").write_text("\n".join(summary_lines) + "\n")
+    _write_lines(out_dir / "summary.txt", summary_lines)
 
     print(f"checkpoint={checkpoint_path}")
     print(f"history={history_path}")
@@ -326,7 +331,7 @@ def cmd_cv(args) -> int:
         out_dir = Path(settings["out"])
         out_dir.mkdir(parents=True, exist_ok=True)
         report_path = out_dir / "cv_report.txt"
-        report_path.write_text("\n".join(report_lines) + "\n")
+        _write_lines(report_path, report_lines)
         print(f"report={report_path}")
     print(f"time={time.perf_counter() - t0:.3f} total")
     return EXIT_OK

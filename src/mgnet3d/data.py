@@ -15,6 +15,8 @@ Fold files: UTF-8 CSV with header ``subject_id,fold``.
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,12 +40,35 @@ __all__ = [
     "stratified_group_kfold",
     "synth_generate",
     "atrophy_mask",
+    "atomic_write",
 ]
 
 VOLUME_MAGIC = b"VOL3"
 VOLUME_VERSION = 1
 _MANIFEST_HEADER = ["subject_id", "scan_id", "label", "path"]
 _FOLDS_HEADER = ["subject_id", "fold"]
+
+
+@contextmanager
+def atomic_write(path):
+    """Open a binary file that replaces ``path`` only once it is complete.
+
+    The bytes go to a temporary file in the same directory, which is
+    flushed to disk and then renamed over ``path``. If the writer raises,
+    the temporary file is removed and ``path`` keeps its old content, so
+    a crash never leaves a truncated file in its place.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_volume(path, volume) -> None:

@@ -22,6 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .data import atomic_write
 from .errors import ConfigError, FormatError, ShapeError
 from .tensor import (
     Tensor,
@@ -403,7 +404,7 @@ def save_checkpoint(params: MgNetParams, path) -> None:
     """Serialize parameters: magic, version, config block, then each tensor
     as (rank u32, extents u32 x rank, little-endian f32 payload) in
     ``named_tensors`` order."""
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(np.asarray([CHECKPOINT_VERSION], dtype="<u4").tobytes())
         blob = _config_to_bytes(params.config)

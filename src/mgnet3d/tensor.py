@@ -216,6 +216,22 @@ def _pad_spatial(arr: np.ndarray, padding: int) -> np.ndarray:
     return np.pad(arr, ((0, 0),) + ((padding, padding),) * 3) if padding else arr
 
 
+# Target width, in output columns, of one tile of the flat-shift conv.
+# A tile's accumulator and operand windows stay in cache across its k**3
+# taps. The width is set in columns, not bytes: narrower tiles made wide
+# channel counts slower, and 768-column tiles at c=32 changed the float32
+# rounding of the BLAS products.
+_TILE_COLUMNS = 3072
+
+
+def _column_tiles(n: int) -> list[tuple[int, int]]:
+    """Split columns [0, n) into max(1, n // _TILE_COLUMNS) balanced tiles,
+    so a map of fewer than 2 * _TILE_COLUMNS columns is one tile."""
+    count = max(1, n // _TILE_COLUMNS)
+    edges = [k * n // count for k in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def conv_output_extent(n: int, kernel: int, stride: int, padding: int) -> int:
     """Output length along one axis: floor((n + 2*padding - kernel)/stride) + 1."""
     return (n + 2 * padding - kernel) // stride + 1
@@ -287,16 +303,21 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
     # from zeros; adding +0 at the crop turns the -0 a first product can
     # leave into its +0 and changes nothing else. numpy's matmul has no
     # BLAS path for an inner extent of 1; a broadcast product rounds the
-    # same single term.
+    # same single term. The columns are run tile by tile, all taps per
+    # tile: each output column still sums its taps in offsets order.
     xf = src.reshape(c_in, -1)
     fwd_product = np.multiply if c_in == 1 else np.matmul
     taps = kdata.transpose(2, 3, 4, 0, 1).reshape(len(offsets), c_out, c_in).copy()
+    tiles = _column_tiles(n)
+    width = max(j1 - j0 for j0, j1 in tiles)
     acc = np.empty((c_out, full[0] * sh * sw), dtype=dtype)
-    fwd_product(taps[0], xf[:, :n], out=acc[:, :n])
-    part = np.empty((c_out, n), dtype=dtype)
-    for t, s in enumerate(shifts[1:], start=1):
-        fwd_product(taps[t], xf[:, s : s + n], out=part)
-        acc[:, :n] += part
+    part = np.empty((c_out, width), dtype=dtype)
+    for j0, j1 in tiles:
+        tile_part = part[:, : j1 - j0]
+        fwd_product(taps[0], xf[:, j0:j1], out=acc[:, j0:j1])
+        for t, s in enumerate(shifts[1:], start=1):
+            fwd_product(taps[t], xf[:, s + j0 : s + j1], out=tile_part)
+            acc[:, j0:j1] += tile_part
     result = Tensor(crop(acc) + dtype.type(0), dtype=dtype)
 
     def kernel_grad(g: np.ndarray) -> np.ndarray:
@@ -348,11 +369,17 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
         taps_t = kdata.transpose(2, 3, 4, 1, 0).reshape(len(offsets), c_in, c_out).copy()
         bwd_product = np.multiply if c_out == 1 else np.matmul
         gsrc = np.zeros((c_in, sd * sh * sw), dtype=g.dtype)
-        bwd_product(taps_t[0], g_ext[:, :n], out=gsrc[:, :n])
-        part = np.empty((c_in, n), dtype=g.dtype)
-        for t, s in enumerate(shifts[1:], start=1):
-            bwd_product(taps_t[t], g_ext[:, :n], out=part)
-            gsrc[:, s : s + n] += part
+        part = np.empty((c_in, width), dtype=g.dtype)
+        # Tap t reaches voxel p from column p - s_t, and the shifts s_t
+        # grow with t, so a voxel's earlier taps come from later tiles.
+        # Walking the tiles last to first thus adds each voxel's taps in
+        # offsets order, and tap 0 writes a tile's voxels before any add.
+        for j0, j1 in reversed(tiles):
+            tile_part = part[:, : j1 - j0]
+            bwd_product(taps_t[0], g_ext[:, j0:j1], out=gsrc[:, j0:j1])
+            for t, s in enumerate(shifts[1:], start=1):
+                bwd_product(taps_t[t], g_ext[:, j0:j1], out=tile_part)
+                gsrc[:, s + j0 : s + j1] += tile_part
         return gsrc.reshape(c_in, sd, sh, sw)
 
     def adjoint(g: np.ndarray) -> None:

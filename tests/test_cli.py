@@ -108,6 +108,7 @@ class TestTrainEval:
         assert "time=" not in history
         summary = (trained / "summary.txt").read_text()
         assert "final_loss=" in summary and "accuracy=" in summary
+        assert not list(trained.glob(".*.tmp"))
 
     def test_train_deterministic_artifacts(self, trained, dataset, small_cfg, tmp_path):
         rerun = tmp_path / "rerun"

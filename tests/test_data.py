@@ -15,6 +15,7 @@ from mgnet3d import (
     Tensor,
     VolumeRecord,
 )
+from mgnet3d.data import atomic_write
 
 
 def write_vol3(path, shape, payload_floats):
@@ -72,6 +73,27 @@ class TestVolumeIO:
             fh.write(np.zeros(1, dtype="<f4").tobytes())
         with pytest.raises(FormatError):
             mg.load_volume(path)
+
+
+class TestAtomicWrite:
+    def test_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_bytes(b"old report\n")
+        with atomic_write(path) as fh:
+            fh.write(b"new ")
+            fh.write(b"report\n")
+        assert path.read_bytes() == b"new report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+    def test_failure_midway_keeps_old_file(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_bytes(b"old report\n")
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with atomic_write(path) as fh:
+                fh.write(b"partial")
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == b"old report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
 
 
 class TestNormalize:

@@ -375,6 +375,23 @@ class TestCheckpoint:
         for (name, a), (_, b) in zip(params.named_tensors(), loaded.named_tensors()):
             assert a.data.tobytes() == b.data.tobytes(), name
 
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.mgn3"
+        mg.save_checkpoint(mg.build(tiny_config(seed=11)), path)
+        old = path.read_bytes()
+        params = mg.build(tiny_config(seed=12))
+        first = next(params.named_tensors())
+
+        def failing_named_tensors():
+            yield first
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(params, "named_tensors", failing_named_tensors)
+        with pytest.raises(OSError, match="no space"):
+            mg.save_checkpoint(params, path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.mgn3"]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.mgn3"
         params = mg.build(tiny_config())

@@ -126,6 +126,10 @@ class TestConv3dFloat32Rounding:
             (3, 4, (5, 6, 7), 1, 2, 1),
             (16, 16, (46, 55, 46), 3, 1, 1),
             (64, 64, (12, 12, 12), 3, 1, 1),
+            # Several column tiles of unequal width (see _column_tiles).
+            (16, 16, (23, 28, 23), 3, 2, 1),
+            (8, 8, (24, 24, 24), 3, 1, 2),
+            (32, 32, (46, 55, 46), 3, 1, 1),
         ],
     )
     @pytest.mark.parametrize("held", [False, True])
@@ -452,3 +456,46 @@ class TestBackwardMemory:
         _, deep = self.run_chain(12)
         assert deep - shallow <= activation, (shallow / activation, deep / activation)
 
+
+class TestConv3dMemory:
+    """Transient memory of one 3x3x3 conv3d (c=8 at 24^3, padding 1), in
+    activations of its output, measured with tracemalloc. The forward holds
+    the padded input, the flat accumulator and the output; the input
+    adjoint holds the gradient on the flat layout and the padded scatter
+    target, then the input's gradient. The per-tap product buffer of each
+    is one column tile, not a whole map."""
+
+    channels, extent = 8, 24
+
+    def operands(self, rng):
+        c, n = self.channels, self.extent
+        x = t(rng.normal(size=(c, n, n, n)), requires_grad=True)
+        k = t(0.1 * rng.normal(size=(c, c, 3, 3, 3)))
+        return x, k, 4 * c * n**3
+
+    def test_forward_peak(self, rng):
+        x, k, activation = self.operands(rng)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            y = mg.conv3d(x, k)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert y.data.nbytes == activation
+        assert peak <= 4.0 * activation, peak / activation
+
+    def test_input_adjoint_peak(self, rng):
+        x, k, activation = self.operands(rng)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        with mg.record() as tape:
+            mg.conv3d(x, k)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tape.ops[0].adjoint(g)
+            extra = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and k.grad is None
+        assert extra <= 3.0 * activation, extra / activation
