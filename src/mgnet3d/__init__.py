@@ -56,7 +56,6 @@ from .tensor import (
     global_avg_pool,
     linear,
     mean_scalars,
-    no_grad,
     record,
     relu,
     scale,

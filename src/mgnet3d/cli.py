@@ -44,7 +44,7 @@ from .model import (
     parse_key_values,
     save_checkpoint,
 )
-from .training import TrainConfig, cross_validate, evaluate, train
+from .training import TrainConfig, _float_repr, cross_validate, evaluate, train
 
 __all__ = ["main", "entrypoint", "REFERENCE_MGNET3D_PARAMS", "REFERENCE_RESNET3D_PARAMS"]
 
@@ -134,16 +134,12 @@ def _require(settings: dict, key: str, flag: str) -> object:
     return settings[key]
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
 def metrics_lines(m: EvalMetrics) -> list[str]:
     return [
-        f"accuracy={_fmt(m.accuracy)}",
-        f"auc={_fmt(m.auc)}",
-        f"sensitivity={_fmt(m.sensitivity)}",
-        f"specificity={_fmt(m.specificity)}",
+        f"accuracy={_float_repr(m.accuracy)}",
+        f"auc={_float_repr(m.auc)}",
+        f"sensitivity={_float_repr(m.sensitivity)}",
+        f"specificity={_float_repr(m.specificity)}",
         f"tp={m.tp}",
         f"tn={m.tn}",
         f"fp={m.fp}",
@@ -152,7 +148,7 @@ def metrics_lines(m: EvalMetrics) -> list[str]:
 
 
 def _summary_lines(summary: dict[str, float]) -> list[str]:
-    return [f"{key}={_fmt(value)}" for key, value in summary.items()]
+    return [f"{key}={_float_repr(value)}" for key, value in summary.items()]
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
@@ -248,7 +244,7 @@ def cmd_train(args) -> int:
     summary_lines = [
         f"fold={fold}",
         f"epochs={train_cfg.epochs}",
-        f"final_loss={_fmt(history.final_loss())}",
+        f"final_loss={_float_repr(history.final_loss())}",
     ]
     if eval_records:
         final_metrics = history.epochs[-1].metrics
@@ -321,7 +317,7 @@ def cmd_cv(args) -> int:
     report_lines = list(seed_lines)
     for fold, (metrics, loss) in enumerate(zip(result.fold_metrics, result.final_losses)):
         report_lines.append(f"fold={fold}")
-        report_lines.append(f"final_loss={_fmt(loss)}")
+        report_lines.append(f"final_loss={_float_repr(loss)}")
         report_lines.extend(metrics_lines(metrics))
     report_lines.append(f"folds={len(result.fold_metrics)}")
     report_lines.extend(_summary_lines(result.summary))

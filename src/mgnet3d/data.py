@@ -170,9 +170,17 @@ class Manifest:
         return out
 
 
+def _read_csv(path, what: str) -> list[list[str]]:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {what} is not UTF-8: {exc}") from None
+
+
 def save_manifest(manifest: Manifest, path) -> None:
     path = Path(path)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_MANIFEST_HEADER)
         for r in manifest.records:
@@ -191,8 +199,7 @@ def load_manifest(path, resolve_geometry: bool = True) -> Manifest:
     supplies the declared geometry.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_csv(path, "manifest")
     if not rows or rows[0] != _MANIFEST_HEADER:
         raise FormatError(f"{path}: manifest header must be {','.join(_MANIFEST_HEADER)}")
     records = []
@@ -236,7 +243,7 @@ class FoldAssignment:
         return train, test
 
     def save(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(_FOLDS_HEADER)
             for subject, fold in self.folds.items():
@@ -244,8 +251,7 @@ class FoldAssignment:
 
     @classmethod
     def load(cls, path) -> "FoldAssignment":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        rows = _read_csv(path, "folds file")
         if not rows or rows[0] != _FOLDS_HEADER:
             raise FormatError(f"{path}: folds header must be {','.join(_FOLDS_HEADER)}")
         folds: dict[str, int] = {}

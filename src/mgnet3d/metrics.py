@@ -3,8 +3,8 @@ specificity, and ROC AUC.
 
 Class 1 is the positive class throughout. AUC is the rank statistic
 (probability that a random positive outscores a random negative, ties
-counted half), computed with a sort-and-sweep that is contractually equal
-to the all-pairs count.
+counted half), computed from mid-ranks and contractually equal to the
+all-pairs count.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def confusion(labels, predictions) -> tuple[int, int, int, int]:
 
 
 def roc_auc(labels, scores) -> float:
-    """Area under the ROC curve via mid-rank sweep.
+    """Area under the ROC curve via mid-ranks.
 
     Equals (pairs with score_pos > score_neg + 0.5 * tied pairs) divided
     by n_pos * n_neg. Requires both classes present.
@@ -68,16 +68,10 @@ def roc_auc(labels, scores) -> float:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ArgumentError("roc_auc needs both classes present")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(y.size, dtype=np.float64)
-    sorted_s = s[order]
-    i = 0
-    while i < y.size:
-        j = i
-        while j < y.size and sorted_s[j] == sorted_s[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + 1 + j)  # mid-rank of 1-based positions i+1..j
-        i = j
+    # The mid-rank of a run of tied scores at 1-based positions i+1..j is
+    # (i + 1 + j) / 2, which is j - (count - 1) / 2 with j the running count.
+    _, run, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[run]
     rank_sum_pos = float(ranks[y == 1].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -30,7 +30,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "record",
-    "no_grad",
     "backward",
     "sgd_step",
     "conv3d",
@@ -94,7 +93,7 @@ class _TapeOp(NamedTuple):
 class Tape:
     """Ordered record of executed operations.
 
-    ``ops`` grows in execution order; :meth:`backward` walks it strictly in
+    ``ops`` grows in execution order; :func:`backward` walks it strictly in
     reverse, so every consumer of a tensor propagates its adjoint before
     the producer runs.
     """
@@ -102,68 +101,21 @@ class Tape:
     def __init__(self) -> None:
         self.ops: list[_TapeOp] = []
 
-    def backward(self, root: Tensor) -> None:
-        if root.data.size != 1:
-            raise ArgumentError(f"backward root must be a scalar, got shape {root.shape}")
-        root.grad = np.ones_like(root.data)
-        # An output's gradient is dropped once its producer has consumed it,
-        # so only the adjoints still waiting for a consumer are held.
-        for op in reversed(self.ops):
-            if op.out.grad is not None:
-                op.adjoint(op.out.grad)
-                op.out.grad = None
-        # Leaves (tensors no op on this tape produced) that fed it but lie
-        # off the path to the root still finish with a concrete zero
-        # gradient. Each output then lets go of this tape: output -> tape ->
-        # op -> output is a cycle, and breaking it frees the tape and every
-        # activation it saved as soon as the caller drops the root, not at
-        # the next cyclic collection.
-        for op in self.ops:
-            for t in op.inputs:
-                if t.requires_grad and t.grad is None and t._tape is not self:
-                    t.grad = np.zeros_like(t.data)
-        for op in self.ops:
-            op.out._tape = None
 
-
-# Recording context is per thread, so parallel workers (e.g. concurrent
+# The open tape is per thread, so parallel workers (e.g. concurrent
 # cross-validation folds) never see each other's tapes.
 _tls = threading.local()
-
-
-def _tape_stack() -> list[Tape | None]:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = _tls.stack = []
-    return stack
-
-
-def _active_tape() -> Tape | None:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
 
 
 @contextmanager
 def record():
     """Open a fresh tape; operations inside are recorded for backward()."""
-    tape = Tape()
-    stack = _tape_stack()
-    stack.append(tape)
+    tape, outer = Tape(), getattr(_tls, "tape", None)
+    _tls.tape = tape
     try:
         yield tape
     finally:
-        stack.pop()
-
-
-@contextmanager
-def no_grad():
-    """Disable recording inside an enclosing record() block."""
-    stack = _tape_stack()
-    stack.append(None)
-    try:
-        yield
-    finally:
-        stack.pop()
+        _tls.tape = outer
 
 
 def backward(loss: Tensor) -> None:
@@ -180,11 +132,31 @@ def backward(loss: Tensor) -> None:
     tape = loss._tape
     if tape is None:
         raise ArgumentError("backward root was not produced under record(), or its tape has run")
-    tape.backward(loss)
+    if loss.data.size != 1:
+        raise ArgumentError(f"backward root must be a scalar, got shape {loss.shape}")
+    loss.grad = np.ones_like(loss.data)
+    # An output's gradient is dropped once its producer has consumed it,
+    # so only the adjoints still waiting for a consumer are held.
+    for op in reversed(tape.ops):
+        if op.out.grad is not None:
+            op.adjoint(op.out.grad)
+            op.out.grad = None
+    # Leaves (tensors no op on this tape produced) that fed it but lie off
+    # the path to the root still finish with a concrete zero gradient. Each
+    # output then lets go of the tape: output -> tape -> op -> output is a
+    # cycle, and breaking it frees the tape and every activation it saved
+    # as soon as the caller drops the root, not at the next cyclic
+    # collection.
+    for op in tape.ops:
+        for t in op.inputs:
+            if t.requires_grad and t.grad is None and t._tape is not tape:
+                t.grad = np.zeros_like(t.data)
+    for op in tape.ops:
+        op.out._tape = None
 
 
 def _attach(out: Tensor, inputs: Sequence[Tensor], adjoint: Callable[[np.ndarray], None]) -> Tensor:
-    tape = _active_tape()
+    tape = getattr(_tls, "tape", None)
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._tape = tape
@@ -210,10 +182,6 @@ def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
             t.grad = np.add(np.broadcast_to(g, t.data.shape), zero, dtype=t.data.dtype)
     else:
         t.grad += g
-
-
-def _pad_spatial(arr: np.ndarray, padding: int) -> np.ndarray:
-    return np.pad(arr, ((0, 0),) + ((padding, padding),) * 3) if padding else arr
 
 
 # Target width, in output columns, of one tile of the flat-shift conv.
@@ -263,26 +231,20 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
     if min(out_sp) < 1:
         raise ShapeError(f"conv3d output extent would be non-positive: {out_sp} from input {x.shape}")
 
-    xp = _pad_spatial(x.data, padding)
     kdata = kernel.data
     dtype = x.data.dtype
     offsets = [(a, b, c) for a in range(kd) for b in range(kh) for c in range(kw)]
 
-    def tap(arr: np.ndarray, a: int, b: int, c: int) -> np.ndarray:
-        return arr[
-            :,
-            a : a + stride * (out_sp[0] - 1) + 1 : stride,
-            b : b + stride * (out_sp[1] - 1) + 1 : stride,
-            c : c + stride * (out_sp[2] - 1) + 1 : stride,
-        ]
-
     # The engine runs a stride-1 convolution on ``src`` and keeps every
-    # ``step``-th output. A 1x1x1 kernel reads only the voxels it outputs,
-    # so it subsamples its input instead and runs on the coarse grid.
-    if kd == 1:
-        src, step = np.ascontiguousarray(tap(xp, 0, 0, 0)), 1
+    # ``step``-th output. An unpadded 1x1x1 kernel (a grid transfer) reads
+    # only the voxels it outputs, so it subsamples its input instead and
+    # runs on the coarse grid.
+    transfer = kd == 1 and not padding
+    coarse = (slice(None),) + (slice(None, None, stride),) * 3
+    if transfer:
+        src, step = np.ascontiguousarray(x.data[coarse]), 1
     else:
-        src, step = xp, stride
+        src, step = np.pad(x.data, ((0, 0),) + ((padding, padding),) * 3) if padding else x.data, stride
     sd, sh, sw = src.shape[1:]
     full = (sd - kd + 1, sh - kh + 1, sw - kw + 1)
     # Output voxel (i, j, l) sits at flat index q = i*sh*sw + j*sw + l of a
@@ -326,41 +288,44 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
         # whole c_in rows; it is rebuilt here from x, which the tape holds
         # anyway, instead of keeping src alive until backward. Each GEMM's
         # operands are those of a per-tap tensordot, and so is its rounding.
-        if kd == 1:
-            src_cl = tap(_pad_spatial(x.data, padding), 0, 0, 0).transpose(1, 2, 3, 0)
+        if transfer:
+            src_cl = x.data[coarse].transpose(1, 2, 3, 0)
         else:
             src_cl = np.zeros((d + 2 * padding, h + 2 * padding, w + 2 * padding, c_in), dtype=dtype)
             src_cl[padding : padding + d, padding : padding + h, padding : padding + w] = x.data.transpose(
                 1, 2, 3, 0
             )
+        # With one output row BLAS runs a matrix-vector product and splits
+        # its D*H*W sum across threads; a zero second row keeps it a GEMM,
+        # whose sums do not depend on the thread count.
         g_rows = g.reshape(c_out, -1)
+        if c_out == 1:
+            g_rows = np.concatenate([g_rows, np.zeros_like(g_rows)])
         gk = np.empty_like(kdata)
-        if step == 1:
-            # One [sd, oH, oW, c_in] slab per (b, c); tap (a, b, c)'s window
-            # is the contiguous run of the slab's rows from plane a on, so a
-            # 3x3x3 kernel makes 9 copies instead of 27.
-            slab = np.empty((src_cl.shape[0],) + out_sp[1:] + (c_in,), dtype=dtype)
-            rows = slab.reshape(-1, c_in)
-            plane = out_sp[1] * out_sp[2]
-            for b in range(kh):
-                for c in range(kw):
-                    np.copyto(slab, src_cl[:, b : b + out_sp[1], c : c + out_sp[2]])
-                    for a in range(kd):
-                        gk[:, :, a, b, c] = np.dot(g_rows, rows[a * plane : (a + out_sp[0]) * plane])
-        else:
-            window = np.empty(out_sp + (c_in,), dtype=dtype)
-            span = [step * (m - 1) + 1 for m in out_sp]
-            for a, b, c in offsets:
-                np.copyto(
-                    window, src_cl[a : a + span[0] : step, b : b + span[1] : step, c : c + span[2] : step]
-                )
-                gk[:, :, a, b, c] = np.dot(g_rows, window.reshape(-1, c_in))
+        # One slab per (b, c) and depth parity p: src's planes p, p + step,
+        # ..., each cut to the rows and columns that taps (., b, c) read. Tap
+        # (a, b, c) with a mod step = p reads the contiguous run of the
+        # slab's rows from plane a // step on, so a 3x3x3 kernel makes 9
+        # copies at stride 1 and 18 at stride 2 instead of 27.
+        plane = out_sp[1] * out_sp[2]
+        span = [step * (m - 1) + 1 for m in out_sp]
+        buf = np.empty((len(range(0, src_cl.shape[0], step)),) + out_sp[1:] + (c_in,), dtype=dtype)
+        for b in range(kh):
+            for c in range(kw):
+                for p in range(min(step, kd)):
+                    window = src_cl[p::step, b : b + span[1] : step, c : c + span[2] : step]
+                    slab = buf[: len(window)]
+                    np.copyto(slab, window)
+                    rows = slab.reshape(-1, c_in)
+                    for a in range(p, kd, step):
+                        i = a // step
+                        gk[:, :, a, b, c] = np.dot(g_rows, rows[i * plane : (i + out_sp[0]) * plane])[:c_out]
         return gk
 
     def src_grad(g: np.ndarray) -> np.ndarray:
         # The output gradient on the flat layout, zero on the columns the
         # crop drops (wrapped ones, and the odd ones of stride 2) so that
-        # they add exact zeros. A 1x1x1 kernel's crop keeps every column.
+        # they add exact zeros. A 1x1x1 kernel at step 1 keeps every column.
         if g.shape[1:] == (full[0], sh, sw):
             g_ext = g.reshape(c_out, -1)
         else:
@@ -389,21 +354,14 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
             _accumulate(kernel, kernel_grad(g), owned=True)
         if x.requires_grad:
             gsrc = src_grad(g)
-            if kd == 1 and not padding:
+            if transfer:
                 # A grid transfer read a strided subset of x: add into those
                 # voxels, not through a zero-filled buffer of the fine grid.
                 if x.grad is None:
                     x.grad = np.zeros_like(x.data)
-                tap(x.grad, 0, 0, 0)[...] += gsrc
-                return
-            if kd == 1:
-                gxp = np.zeros((c_in, d + 2 * padding, h + 2 * padding, w + 2 * padding), dtype=dtype)
-                tap(gxp, 0, 0, 0)[...] += gsrc
+                x.grad[coarse] += gsrc
             else:
-                gxp = gsrc
-            if padding:
-                gxp = gxp[:, padding : padding + d, padding : padding + h, padding : padding + w]
-            _accumulate(x, gxp)
+                _accumulate(x, gsrc[:, padding : padding + d, padding : padding + h, padding : padding + w])
 
     return _attach(result, (x, kernel), adjoint)
 
@@ -456,9 +414,6 @@ def scale(x: Tensor, factor: float) -> Tensor:
     return _attach(out, (x,), adjoint)
 
 
-_POOL_COUNT_CACHE: dict[tuple, np.ndarray] = {}
-
-
 def _axis_window_sizes(n: int) -> np.ndarray:
     idx = np.arange(n)
     lo = np.maximum(idx - 1, 0)
@@ -467,13 +422,8 @@ def _axis_window_sizes(n: int) -> np.ndarray:
 
 
 def _pool_counts(spatial: tuple[int, int, int], dtype) -> np.ndarray:
-    key = (*spatial, np.dtype(dtype).str)
-    cached = _POOL_COUNT_CACHE.get(key)
-    if cached is None:
-        sd, sh, sw = (_axis_window_sizes(n) for n in spatial)
-        cached = (sd[:, None, None] * sh[None, :, None] * sw[None, None, :]).astype(dtype)
-        _POOL_COUNT_CACHE[key] = cached
-    return cached
+    sd, sh, sw = (_axis_window_sizes(n) for n in spatial)
+    return (sd[:, None, None] * sh[None, :, None] * sw[None, None, :]).astype(dtype)
 
 
 def _box_sum(arr: np.ndarray) -> np.ndarray:

@@ -250,6 +250,26 @@ class TestErrors:
         assert code == 2
         assert "not UTF-8" in err
 
+    def test_non_utf8_manifest_exit_3(self, capsys, tmp_path, dataset):
+        bad = tmp_path / "manifest.csv"
+        bad.write_bytes(dataset.read_bytes().replace(b"\n", b"\xff\n", 2))
+        code, out, err = run(capsys, "split", "--manifest", str(bad), "--k", "2", "--out", str(tmp_path))
+        assert code == 3
+        assert out == ""
+        assert "manifest is not UTF-8" in err
+        assert not (tmp_path / "folds.csv").exists()
+
+    def test_non_utf8_folds_exit_3(self, capsys, tmp_path, dataset, small_cfg):
+        assert main(["split", "--manifest", str(dataset), "--k", "2", "--out", str(tmp_path)]) == 0
+        folds = tmp_path / "folds.csv"
+        folds.write_bytes(folds.read_bytes().replace(b"\n", b"\xff\n", 2))
+        capsys.readouterr()
+        code, _, err = run(capsys, "train", "--manifest", str(dataset), "--folds", str(folds),
+                           "--fold", "0", "--config", small_cfg, "--out", str(tmp_path / "run"))
+        assert code == 3
+        assert "folds file is not UTF-8" in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("argv", [
         ["synth", "--seed-data", "-1"],
         ["split", "--k", "2", "--seed-split", "-1"],

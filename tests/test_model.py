@@ -253,6 +253,20 @@ class TestForward:
         ]
 
 
+class TestTapeOpNames:
+    def test_adjoints_are_named_after_tensor_ops(self, rng):
+        # Per-op backward timing (perfbench/tracing.py) names each tape op
+        # by the function its adjoint closure was defined in.
+        params = mg.build(tiny_config(use_avg_pool=True, use_channel_norm=True))
+        volumes = [Tensor(rng.normal(size=(1, 6, 7, 5)).astype(np.float32)) for _ in range(2)]
+        with mg.record() as tape:
+            loss = mg.mean_scalars([mg.softmax_cross_entropy(mg.forward(params, v), 1) for v in volumes])
+        names = {op.adjoint.__qualname__.split(".")[0] for op in tape.ops}
+        assert {"conv3d", "avg_pool3d", "channel_norm", "softmax_cross_entropy"} <= names
+        assert names <= set(mg.tensor.__all__), names - set(mg.tensor.__all__)
+        mg.backward(loss)
+
+
 class TestZeroInitialGuess:
     """``forward`` skips the operator conv on u0 = 0; nothing else may change."""
 
