@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from .data import FoldAssignment, atomic_write, load_manifest, stratified_group_kfold, synth_generate
@@ -135,16 +136,8 @@ def _require(settings: dict, key: str, flag: str) -> object:
 
 
 def metrics_lines(m: EvalMetrics) -> list[str]:
-    return [
-        f"accuracy={_float_repr(m.accuracy)}",
-        f"auc={_float_repr(m.auc)}",
-        f"sensitivity={_float_repr(m.sensitivity)}",
-        f"specificity={_float_repr(m.specificity)}",
-        f"tp={m.tp}",
-        f"tn={m.tn}",
-        f"fp={m.fp}",
-        f"fn={m.fn}",
-    ]
+    values = ((f.name, getattr(m, f.name)) for f in fields(m))
+    return [f"{name}={_float_repr(v) if isinstance(v, float) else v}" for name, v in values]
 
 
 def _summary_lines(summary: dict[str, float]) -> list[str]:

@@ -15,6 +15,7 @@ Fold files: UTF-8 CSV with header ``subject_id,fold``.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -104,7 +105,7 @@ def load_volume(path) -> Tensor:
     """Read a VOL3 file into a float32 tensor, validating the payload."""
     shape = read_volume_header(path)
     raw = Path(path).read_bytes()
-    count = int(np.prod(shape))
+    count = math.prod(shape)  # Python ints: a u32 extent product can overflow int64
     expected = 24 + 4 * count
     if len(raw) != expected:
         raise FormatError(

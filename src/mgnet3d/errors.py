@@ -2,7 +2,7 @@
 
 The CLI maps these onto process exit codes: configuration and argument
 problems exit 2, data and file-format problems exit 3, and numerical
-divergence during training exits 4.
+divergence in training or evaluation exits 4.
 """
 
 
@@ -35,7 +35,7 @@ class DataError(MgnetError, ValueError):
 
 
 class DivergenceError(MgnetError, ArithmeticError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss, or evaluation a non-finite logit."""
 
     def __init__(self, message: str, epoch: int | None = None, batch: int | None = None):
         super().__init__(message)

@@ -18,16 +18,18 @@ from .errors import ArgumentError
 __all__ = ["EvalMetrics", "confusion", "roc_auc", "compute_metrics"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EvalMetrics:
+    """Held-out metrics, with the fields in the order reports print them."""
+
+    accuracy: float
+    auc: float
+    sensitivity: float
+    specificity: float
     tp: int
     tn: int
     fp: int
     fn: int
-    accuracy: float
-    sensitivity: float
-    specificity: float
-    auc: float
 
 
 def _as_binary(values, what: str) -> np.ndarray:

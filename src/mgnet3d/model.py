@@ -16,6 +16,7 @@ well below a comparable 3D residual network.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator
@@ -447,7 +448,7 @@ def load_checkpoint(path) -> MgNetParams:
         extents = tuple(int(v) for v in np.frombuffer(take(4 * rank, f"{name} extents"), dtype="<u4"))
         if extents != shape:
             raise FormatError(f"{path}: tensor {name} has shape {extents}, expected {shape}")
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         payload = take(4 * count, f"{name} payload")
         data = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
         if not np.isfinite(data).all():

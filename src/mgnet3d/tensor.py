@@ -184,20 +184,30 @@ def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
         t.grad += g
 
 
-# Target width, in output columns, of one tile of the flat-shift conv.
-# A tile's accumulator and operand windows stay in cache across its k**3
-# taps. The width is set in columns, not bytes: narrower tiles made wide
-# channel counts slower, and 768-column tiles at c=32 changed the float32
-# rounding of the BLAS products.
+# Target width, in output columns, of one tile of `_shift_sum`. A tile's
+# accumulator and operand windows stay in cache across its taps. The width
+# is set in columns, not bytes: narrower tiles made wide channel counts
+# slower, and 768-column tiles at c=32 changed the float32 rounding of BLAS.
 _TILE_COLUMNS = 3072
 
 
-def _column_tiles(n: int) -> list[tuple[int, int]]:
-    """Split columns [0, n) into max(1, n // _TILE_COLUMNS) balanced tiles,
-    so a map of fewer than 2 * _TILE_COLUMNS columns is one tile."""
+def _shift_sum(taps: np.ndarray, src: np.ndarray, shifts: Sequence[int], out: np.ndarray) -> None:
+    """Set ``out[:, j] = sum_t taps[t] @ src[:, shifts[t] + j]``, tap 0 written
+    and the others added in order, in max(1, n // _TILE_COLUMNS) balanced
+    column tiles with all taps per tile. numpy's matmul has no BLAS path for
+    an inner extent of 1; a broadcast product rounds the same single term.
+    """
+    product = np.multiply if taps.shape[2] == 1 else np.matmul
+    n = out.shape[1]
     count = max(1, n // _TILE_COLUMNS)
     edges = [k * n // count for k in range(count + 1)]
-    return list(zip(edges[:-1], edges[1:]))
+    part = np.empty((out.shape[0], -(-n // count)), dtype=out.dtype)
+    for j0, j1 in zip(edges[:-1], edges[1:]):
+        tile_part = part[:, : j1 - j0]
+        product(taps[0], src[:, shifts[0] + j0 : shifts[0] + j1], out=out[:, j0:j1])
+        for t in range(1, len(shifts)):
+            product(taps[t], src[:, shifts[t] + j0 : shifts[t] + j1], out=tile_part)
+            out[:, j0:j1] += tile_part
 
 
 def conv_output_extent(n: int, kernel: int, stride: int, padding: int) -> int:
@@ -263,23 +273,10 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
     # over the input channels: the float32 sums of a per-tap loop over
     # strided copies, so the outputs agree bit for bit. That loop starts
     # from zeros; adding +0 at the crop turns the -0 a first product can
-    # leave into its +0 and changes nothing else. numpy's matmul has no
-    # BLAS path for an inner extent of 1; a broadcast product rounds the
-    # same single term. The columns are run tile by tile, all taps per
-    # tile: each output column still sums its taps in offsets order.
-    xf = src.reshape(c_in, -1)
-    fwd_product = np.multiply if c_in == 1 else np.matmul
+    # leave into its +0 and changes nothing else.
     taps = kdata.transpose(2, 3, 4, 0, 1).reshape(len(offsets), c_out, c_in).copy()
-    tiles = _column_tiles(n)
-    width = max(j1 - j0 for j0, j1 in tiles)
     acc = np.empty((c_out, full[0] * sh * sw), dtype=dtype)
-    part = np.empty((c_out, width), dtype=dtype)
-    for j0, j1 in tiles:
-        tile_part = part[:, : j1 - j0]
-        fwd_product(taps[0], xf[:, j0:j1], out=acc[:, j0:j1])
-        for t, s in enumerate(shifts[1:], start=1):
-            fwd_product(taps[t], xf[:, s + j0 : s + j1], out=tile_part)
-            acc[:, j0:j1] += tile_part
+    _shift_sum(taps, src.reshape(c_in, -1), shifts, acc[:, :n])
     result = Tensor(crop(acc) + dtype.type(0), dtype=dtype)
 
     def kernel_grad(g: np.ndarray) -> np.ndarray:
@@ -291,10 +288,7 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
         if transfer:
             src_cl = x.data[coarse].transpose(1, 2, 3, 0)
         else:
-            src_cl = np.zeros((d + 2 * padding, h + 2 * padding, w + 2 * padding, c_in), dtype=dtype)
-            src_cl[padding : padding + d, padding : padding + h, padding : padding + w] = x.data.transpose(
-                1, 2, 3, 0
-            )
+            src_cl = np.pad(x.data.transpose(1, 2, 3, 0), ((padding, padding),) * 3 + ((0, 0),))
         # With one output row BLAS runs a matrix-vector product and splits
         # its D*H*W sum across threads; a zero second row keeps it a GEMM,
         # whose sums do not depend on the thread count.
@@ -323,29 +317,22 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
         return gk
 
     def src_grad(g: np.ndarray) -> np.ndarray:
-        # The output gradient on the flat layout, zero on the columns the
-        # crop drops (wrapped ones, and the odd ones of stride 2) so that
-        # they add exact zeros. A 1x1x1 kernel at step 1 keeps every column.
-        if g.shape[1:] == (full[0], sh, sw):
-            g_ext = g.reshape(c_out, -1)
+        # A convolution with the transposed taps: src voxel p gets tap t
+        # from column p - s_t of g on the flat layout. That layout is put
+        # behind s_max zero columns, with zeros on the columns the crop
+        # drops (wrapped ones, and the odd ones of stride 2; a 1x1x1 kernel
+        # at step 1 keeps them all). Voxel q0 + j of x's own planes, from
+        # q0 on, then gathers column q0 + s_max - s_t + j.
+        s_max, q0 = shifts[-1], padding * sh * sw
+        if g.shape[1:] == (sd, sh, sw):
+            g_flat = g.reshape(c_out, -1)
         else:
-            g_ext = np.zeros((c_out, full[0] * sh * sw), dtype=g.dtype)
-            crop(g_ext)[...] = g
+            g_flat = np.zeros((c_out, s_max + sd * sh * sw), dtype=g.dtype)
+            crop(g_flat[:, s_max : s_max + full[0] * sh * sw])[...] = g
         taps_t = kdata.transpose(2, 3, 4, 1, 0).reshape(len(offsets), c_in, c_out).copy()
-        bwd_product = np.multiply if c_out == 1 else np.matmul
-        gsrc = np.zeros((c_in, sd * sh * sw), dtype=g.dtype)
-        part = np.empty((c_in, width), dtype=g.dtype)
-        # Tap t reaches voxel p from column p - s_t, and the shifts s_t
-        # grow with t, so a voxel's earlier taps come from later tiles.
-        # Walking the tiles last to first thus adds each voxel's taps in
-        # offsets order, and tap 0 writes a tile's voxels before any add.
-        for j0, j1 in reversed(tiles):
-            tile_part = part[:, : j1 - j0]
-            bwd_product(taps_t[0], g_ext[:, j0:j1], out=gsrc[:, j0:j1])
-            for t, s in enumerate(shifts[1:], start=1):
-                bwd_product(taps_t[t], g_ext[:, j0:j1], out=tile_part)
-                gsrc[:, s + j0 : s + j1] += tile_part
-        return gsrc.reshape(c_in, sd, sh, sw)
+        planes = np.empty((c_in, (sd - 2 * padding) * sh * sw), dtype=g.dtype)
+        _shift_sum(taps_t, g_flat, [q0 + s_max - s for s in shifts], planes)
+        return planes.reshape(c_in, -1, sh, sw)[:, :, padding : sh - padding, padding : sw - padding]
 
     def adjoint(g: np.ndarray) -> None:
         # Each helper's scratch buffers are freed when it returns, before
@@ -361,7 +348,7 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
                     x.grad = np.zeros_like(x.data)
                 x.grad[coarse] += gsrc
             else:
-                _accumulate(x, gsrc[:, padding : padding + d, padding : padding + h, padding : padding + w])
+                _accumulate(x, gsrc)
 
     return _attach(result, (x, kernel), adjoint)
 
@@ -414,18 +401,6 @@ def scale(x: Tensor, factor: float) -> Tensor:
     return _attach(out, (x,), adjoint)
 
 
-def _axis_window_sizes(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    lo = np.maximum(idx - 1, 0)
-    hi = np.minimum(idx + 1, n - 1)
-    return (hi - lo + 1).astype(np.float64)
-
-
-def _pool_counts(spatial: tuple[int, int, int], dtype) -> np.ndarray:
-    sd, sh, sw = (_axis_window_sizes(n) for n in spatial)
-    return (sd[:, None, None] * sh[None, :, None] * sw[None, None, :]).astype(dtype)
-
-
 def _box_sum(arr: np.ndarray) -> np.ndarray:
     """Sum of the 3x3x3 neighborhood around each voxel, zeros outside bounds."""
     _, d, h, w = arr.shape
@@ -446,7 +421,7 @@ def avg_pool3d(x: Tensor) -> Tensor:
     """
     if x.ndim != 4:
         raise ShapeError(f"avg_pool3d input must be [c,D,H,W], got shape {x.shape}")
-    counts = _pool_counts(x.shape[1:], x.data.dtype)
+    counts = _box_sum(np.ones((1,) + x.shape[1:], x.data.dtype))
     out = Tensor(_box_sum(x.data) / counts, dtype=x.data.dtype)
 
     def adjoint(g: np.ndarray) -> None:

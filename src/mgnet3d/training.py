@@ -207,7 +207,13 @@ def evaluate(
     cache: dict[str, np.ndarray] = {}
     labels, predictions, scores = [], [], []
     for r in records:
-        logits = forward(params, _load_normalized(r, geometry, cache))
+        # As in train: a diverged model is a DivergenceError, not numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            logits = forward(params, _load_normalized(r, geometry, cache))
+        if not np.isfinite(logits.data).all():
+            raise DivergenceError(
+                f"non-finite logits {logits.data.tolist()} for scan {r.subject_id}/{r.scan_id}"
+            )
         z = logits.data.astype(np.float64)
         z -= z.max()
         ez = np.exp(z)

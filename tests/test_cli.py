@@ -300,6 +300,34 @@ class TestErrors:
         assert out == ""
         assert f"{cfg}:3: duplicate key 'num_grids'" in err
 
+    def test_volume_extents_overflowing_int64_exit_3(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        mg.synth_generate(data, 2, 1, 4, 1.0, 0.1, seed=0)
+        ckpt = tmp_path / "model.mgn3"
+        mg.save_checkpoint(mg.build(mg.MgNetConfig(num_grids=1, feature_channels=2, data_channels=2)), ckpt)
+        first = mg.load_manifest(data / "manifest.csv").records[0].volume_path
+        with open(first, "wb") as fh:
+            fh.write(b"VOL3" + np.asarray([1] + [65536] * 4, dtype="<u4").tobytes())
+        code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt),
+                             "--manifest", str(data / "manifest.csv"))
+        assert code == 3
+        assert out == ""
+        assert "header declares 18446744073709551616" in err
+
+    def test_non_finite_eval_logits_exit_4(self, capsys, tmp_path, dataset):
+        # Blown-up weights overflow float32 inside the forward pass; pytest
+        # turns any numpy RuntimeWarning into an error.
+        params = mg.build(mg.MgNetConfig(num_grids=2, smoothing_iters=1, feature_channels=4, data_channels=4))
+        for tensor in params.tensors():
+            tensor.data *= 1e12
+        ckpt = tmp_path / "blown.mgn3"
+        mg.save_checkpoint(params, ckpt)
+        code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--manifest", str(dataset))
+        assert code == 4
+        assert out == ""
+        first = mg.load_manifest(dataset).records[0]
+        assert f"non-finite logits [nan, nan] for scan {first.subject_id}/{first.scan_id}" in err
+
     @pytest.mark.parametrize("flag", ["--effect-size", "--noise-std"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_synth_parameter_exit_2(self, capsys, tmp_path, flag, value):

@@ -65,6 +65,14 @@ class TestVolumeIO:
         with pytest.raises(DataError):
             mg.load_volume(path)
 
+    def test_extent_product_overflowing_int64(self, tmp_path):
+        # 65536**4 = 2**64 wraps to 0 in int64, the length of an empty payload.
+        path = tmp_path / "huge.vol"
+        write_vol3(path, (65536,) * 4, [])
+        assert path.stat().st_size == 24
+        with pytest.raises(FormatError, match="header declares 18446744073709551616"):
+            mg.load_volume(path)
+
     def test_bad_version(self, tmp_path):
         path = tmp_path / "v.vol"
         with open(path, "wb") as fh:

@@ -425,6 +425,20 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             mg.load_checkpoint(path)
 
+    def test_extent_product_overflowing_int64(self, tmp_path):
+        # 2**31 * 2**31 * 27 wraps to a negative count in int64.
+        path = tmp_path / "model.mgn3"
+        mg.save_checkpoint(mg.build(tiny_config()), path)
+        raw = path.read_bytes()
+        block = config_block(raw)
+        for old in (b"feature_channels=2\n", b"data_channels=2\n", b"input_channels=1\n"):
+            assert old in block
+            block = block.replace(old, old.split(b"=")[0] + b"=2147483648\n")
+        head = with_config_block(raw, block)[: 12 + len(block)]
+        path.write_bytes(head + np.asarray([5, 2**31, 2**31, 3, 3, 3], dtype="<u4").tobytes() + bytes(64))
+        with pytest.raises(FormatError, match="truncated while reading input_kernel payload"):
+            mg.load_checkpoint(path)
+
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "model.mgn3"
         params = mg.build(tiny_config())

@@ -134,10 +134,14 @@ class TestConv3dFloat32Rounding:
             (3, 4, (5, 6, 7), 1, 2, 1),
             (16, 16, (46, 55, 46), 3, 1, 1),
             (64, 64, (12, 12, 12), 3, 1, 1),
-            # Several column tiles of unequal width (see _column_tiles).
+            # Several column tiles of unequal width (see _shift_sum).
             (16, 16, (23, 28, 23), 3, 2, 1),
             (8, 8, (24, 24, 24), 3, 1, 2),
             (32, 32, (46, 55, 46), 3, 1, 1),
+            # The input adjoint's gather starts at x's first plane in the
+            # padded map: offset 0, and an offset past the largest shift.
+            (16, 16, (23, 28, 23), 3, 1, 0),
+            (2, 3, (4, 5, 6), 1, 1, 1),
         ],
     )
     @pytest.mark.parametrize("held", [False, True])
@@ -492,8 +496,8 @@ class TestConv3dMemory:
     """Transient memory of one 3x3x3 conv3d (c=8 at 24^3, padding 1), in
     activations of its output, measured with tracemalloc. The forward holds
     the padded input, the flat accumulator and the output; the input
-    adjoint holds the gradient on the flat layout and the padded scatter
-    target, then the input's gradient. The per-tap product buffer of each
+    adjoint holds the gradient on the flat layout and the gathered planes
+    of the input, then the input's gradient. The per-tap product buffer of each
     is one column tile, not a whole map."""
 
     channels, extent = 8, 24
