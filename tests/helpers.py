@@ -230,3 +230,34 @@ def params_to_f64(params: MgNetParams) -> MgNetParams:
         for t in params.tensors()
     ]
     return _assemble(params.config, tensors)
+
+
+def count_worker_handoffs(monkeypatch) -> list:
+    """Make every conv3d adjoint that hands its kernel gradient to the
+    adjoint worker append to the returned list."""
+    from mgnet3d import tensor
+
+    handoffs, submit = [], tensor._adjoint_worker.submit
+
+    def counting_submit(*args):
+        handoffs.append(1)
+        return submit(*args)
+
+    monkeypatch.setattr(tensor._adjoint_worker, "submit", counting_submit)
+    return handoffs
+
+
+def run_worker_jobs_inline(monkeypatch) -> None:
+    """Make the conv3d adjoint worker run each job on the thread that hands
+    it off, before that thread goes on: the same helpers on the same
+    operands, one after the other."""
+    from concurrent.futures import Future
+
+    from mgnet3d import tensor
+
+    def submit(fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+    monkeypatch.setattr(tensor._adjoint_worker, "submit", submit)

@@ -6,6 +6,8 @@ import pytest
 import mgnet3d as mg
 from mgnet3d.cli import main
 
+from helpers import count_worker_handoffs
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -40,6 +42,19 @@ def small_cfg(tmp_path_factory):
         "log_every=0\n"
     )
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def large_inputs(tmp_path_factory):
+    # At c=16, the 20^3 grid's conv adjoints hand kernel gradients to the
+    # adjoint worker thread.
+    out = tmp_path_factory.mktemp("large")
+    mg.synth_generate(out, n_subjects_per_class=4, scans_per_subject=1,
+                      size=20, effect_size=1.0, noise_std=0.1, seed=6)
+    cfg = out / "wide.cfg"
+    cfg.write_text("num_grids=2\nsmoothing_iters=1\nfeature_channels=16\ndata_channels=16\n"
+                   "learning_rate=0.02\nbatch_size=2\nepochs=1\nlog_every=0\n")
+    return out / "manifest.csv", cfg
 
 
 class TestSynth:
@@ -216,6 +231,23 @@ class TestCv:
             assert lines[lines.index(f"fold={fold}") + 1].startswith("final_loss=")
         assert any(l.startswith("mean_final_loss=") for l in lines)
         assert any(l.startswith("std_final_loss=") for l in lines)
+
+    def test_workers_identical_report_on_large_maps(self, capsys, monkeypatch, large_inputs,
+                                                    tmp_path):
+        # With two fold threads, one fold's adjoint can find the adjoint
+        # worker taken by the other's and run inline instead.
+        manifest, cfg = large_inputs
+        handoffs = count_worker_handoffs(monkeypatch)
+        reports = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            code, _, err = run(capsys, "cv", "--manifest", str(manifest), "--k", "2",
+                               "--config", str(cfg), "--out", str(out), "--workers", workers,
+                               "--seed-model", "1", "--seed-train", "2", "--seed-split", "3")
+            assert code == 0, err
+            reports.append((out / "cv_report.txt").read_bytes())
+        assert handoffs
+        assert reports[0] == reports[1]
 
 
 class TestErrors:

@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -21,7 +23,9 @@ from helpers import (
     avg_pool3d_reference,
     conv3d_reference,
     conv3d_taps_reference,
+    count_worker_handoffs,
     reduce_sum,
+    run_worker_jobs_inline,
     weighted_sum,
 )
 
@@ -198,6 +202,132 @@ class TestConv3dThreadIndependence:
             assert done.returncode == 0, done.stderr
             hashes.append(done.stdout.strip())
         assert hashes[0] == hashes[1]
+
+
+class TestConv3dAdjointWorker:
+    """An adjoint that needs both gradients, of a conv whose kernel gradient
+    is large enough (c=16 at 20^3 here), computes the kernel's on the idle
+    adjoint worker thread."""
+
+    def adjoint(self, x, k, g):
+        """Run one conv3d adjoint with x and the kernel requiring gradients."""
+        xt, kt = t(x, requires_grad=True), t(k, requires_grad=True)
+        with mg.record() as tape:
+            mg.conv3d(xt, kt)
+        tape.ops[0].adjoint(g)
+        return xt, kt
+
+    def case(self, rng, channels=16, spatial=(20, 20, 20)):
+        x = rng.normal(size=(channels,) + spatial).astype(np.float32)
+        k = (0.05 * rng.normal(size=(channels, channels, 3, 3, 3))).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        return x, k, g
+
+    @pytest.mark.parametrize("channels,spatial", [(24, (46, 55, 46)), (64, (23, 28, 23))])
+    def test_kernel_gradient_equals_inline(self, rng, monkeypatch, channels, spatial):
+        # At these widths the kernel gradient's rounding depends on the BLAS
+        # thread count, so a worker thread that split its GEMMs differently
+        # would show here.
+        x, k, g = self.case(rng, channels, spatial)
+        handoffs = count_worker_handoffs(monkeypatch)
+        _, threaded = self.adjoint(x, k, g)
+        assert handoffs == [1]
+        kt = t(k, requires_grad=True)
+        with mg.record() as tape:
+            mg.conv3d(t(x), kt)
+        tape.ops[0].adjoint(g)
+        assert threaded.grad.tobytes() == kt.grad.tobytes()
+
+    def test_small_conv_runs_inline(self, rng, monkeypatch):
+        # c=16 at 16^3 is below the hand-off's break-even.
+        handoffs = count_worker_handoffs(monkeypatch)
+        self.adjoint(*self.case(rng, 16, (16, 16, 16)))
+        assert handoffs == []
+
+    def test_busy_worker_runs_inline(self, rng, monkeypatch):
+        # An adjoint that finds the worker taken computes the kernel
+        # gradient itself instead of queueing, with the same result.
+        x, k, g = self.case(rng)
+        want = [a.grad.tobytes() for a in self.adjoint(x, k, g)]
+        handoffs = count_worker_handoffs(monkeypatch)
+        with mg.tensor._adjoint_worker_busy:
+            got = [a.grad.tobytes() for a in self.adjoint(x, k, g)]
+        assert handoffs == []
+        assert got == want
+        # A finished job leaves the worker idle for the next adjoint.
+        self.adjoint(x, k, g)
+        self.adjoint(x, k, g)
+        assert handoffs == [1, 1]
+
+    def test_error_state_reaches_the_worker(self, rng, monkeypatch):
+        # A diverging run overflows under the training step's np.errstate;
+        # the worker's GEMMs must stay as silent as the caller's.
+        x = np.full((16, 20, 20, 20), 1e30, dtype=np.float32)
+        k = (0.1 * rng.normal(size=(16, 16, 3, 3, 3))).astype(np.float32)
+        handoffs = count_worker_handoffs(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                _, kt = self.adjoint(x, k, x.copy())
+        assert handoffs == [1]
+        assert np.isinf(kt.grad).all()
+
+    def test_concurrent_callers(self, rng, monkeypatch):
+        # More callers than cores, switching often, as cv fold threads do:
+        # whether a caller gets the worker or finds it taken, it must get
+        # the gradients of a hand-off run on its own thread.
+        cases = [self.case(rng) for _ in range(4)]
+        with monkeypatch.context() as m:
+            run_worker_jobs_inline(m)
+            want = [[a.grad.tobytes() for a in self.adjoint(*case)] for case in cases]
+        handoffs = count_worker_handoffs(monkeypatch)
+        got = [None] * len(cases)
+
+        def caller(i):
+            got[i] = [a.grad.tobytes() for a in self.adjoint(*cases[i])]
+
+        callers = [threading.Thread(target=caller, args=(i,)) for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in callers:
+                th.start()
+            for th in callers:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in callers)
+        assert handoffs
+        assert got == want
+
+    def test_thread_starts_on_first_handoff(self):
+        script = textwrap.dedent(
+            """
+            import threading
+            import numpy as np
+            import mgnet3d as mg
+
+            def adjoint(n):
+                x = mg.Tensor(np.ones((16, n, n, n), np.float32), requires_grad=True)
+                k = mg.Tensor(np.ones((16, 16, 3, 3, 3), np.float32), requires_grad=True)
+                with mg.record() as tape:
+                    mg.conv3d(x, k)
+                tape.ops[0].adjoint(np.ones((16, n, n, n), np.float32))
+                return threading.active_count()
+
+            print(threading.active_count(), adjoint(16), adjoint(20))
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        # The idle worker does not hold up interpreter exit.
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        # At c=16 a 16^3 adjoint runs inline and a 20^3 one hands off.
+        assert done.stdout.split() == ["1", "1", "2"]
 
 
 class TestElementwise:
@@ -498,14 +628,17 @@ class TestConv3dMemory:
     the padded input, the flat accumulator and the output; the input
     adjoint holds the gradient on the flat layout and the gathered planes
     of the input, then the input's gradient. The per-tap product buffer of each
-    is one column tile, not a whole map."""
+    is one column tile, not a whole map. When the kernel takes a gradient
+    too (at c=16, where it goes to the adjoint worker), the kernel
+    adjoint's channels-last padded input and its slab buffer are held at
+    the same time."""
 
-    channels, extent = 8, 24
+    extent = 24
 
-    def operands(self, rng):
-        c, n = self.channels, self.extent
+    def operands(self, rng, c=8, kernel_grad=False):
+        n = self.extent
         x = t(rng.normal(size=(c, n, n, n)), requires_grad=True)
-        k = t(0.1 * rng.normal(size=(c, c, 3, 3, 3)))
+        k = t(0.1 * rng.normal(size=(c, c, 3, 3, 3)), requires_grad=kernel_grad)
         return x, k, 4 * c * n**3
 
     def test_forward_peak(self, rng):
@@ -520,8 +653,9 @@ class TestConv3dMemory:
         assert y.data.nbytes == activation
         assert peak <= 4.0 * activation, peak / activation
 
-    def test_input_adjoint_peak(self, rng):
-        x, k, activation = self.operands(rng)
+    def adjoint_peak(self, rng, c=8, kernel_grad=False):
+        """Peak of one adjoint above its start, in activations."""
+        x, k, activation = self.operands(rng, c, kernel_grad)
         g = rng.normal(size=x.shape).astype(np.float32)
         with mg.record() as tape:
             mg.conv3d(x, k)
@@ -532,5 +666,15 @@ class TestConv3dMemory:
             extra = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert x.grad is not None and k.grad is None
-        assert extra <= 3.0 * activation, extra / activation
+        assert x.grad is not None and (k.grad is not None) == kernel_grad
+        return extra / activation
+
+    def test_input_adjoint_peak(self, rng):
+        ratio = self.adjoint_peak(rng)
+        assert ratio <= 3.0, ratio
+
+    def test_both_adjoints_peak(self, rng, monkeypatch):
+        handoffs = count_worker_handoffs(monkeypatch)
+        ratio = self.adjoint_peak(rng, c=16, kernel_grad=True)
+        assert handoffs == [1]
+        assert ratio <= 5.5, ratio

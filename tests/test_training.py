@@ -14,12 +14,23 @@ from mgnet3d import (
     Manifest,
 )
 
+from helpers import count_worker_handoffs, run_worker_jobs_inline
+
 
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("tinydata")
     return mg.synth_generate(out, n_subjects_per_class=4, scans_per_subject=1,
                              size=12, effect_size=1.0, noise_std=0.1, seed=2)
+
+
+@pytest.fixture(scope="module")
+def large_dataset(tmp_path_factory):
+    # At c=16, a 20^3 grid's conv adjoints hand kernel gradients to the
+    # adjoint worker thread.
+    out = tmp_path_factory.mktemp("large")
+    return mg.synth_generate(out, n_subjects_per_class=4, scans_per_subject=1,
+                             size=20, effect_size=1.0, noise_std=0.1, seed=2)
 
 
 def tiny_model_config(**overrides):
@@ -62,6 +73,17 @@ class TestTrain:
         tc_other = TrainConfig(learning_rate=0.02, batch_size=2, epochs=3, seed=10, log_every=0)
         _, h3 = mg.train(cfg, tiny_dataset.records, tc_other, geometry=tiny_dataset.geometry)
         assert "\n".join(h1.lines()) != "\n".join(h3.lines())
+
+    def test_adjoint_worker_does_not_change_parameters(self, large_dataset, monkeypatch):
+        cfg = tiny_model_config(feature_channels=16, data_channels=16)
+        tc = TrainConfig(learning_rate=0.02, batch_size=2, epochs=1, seed=3, log_every=0)
+        handoffs = count_worker_handoffs(monkeypatch)
+        threaded, _ = mg.train(cfg, large_dataset.records, tc, geometry=large_dataset.geometry)
+        assert handoffs
+        run_worker_jobs_inline(monkeypatch)
+        inline, _ = mg.train(cfg, large_dataset.records, tc, geometry=large_dataset.geometry)
+        for (name, a), (_, b) in zip(threaded.named_tensors(), inline.named_tensors()):
+            assert a.data.tobytes() == b.data.tobytes(), name
 
     def test_initial_loss_near_coin_flip(self, tiny_dataset):
         # Balanced data, zero head bias, small weights: mean loss ~ ln 2.
