@@ -32,7 +32,6 @@ from .errors import (
 )
 from .metrics import EvalMetrics, compute_metrics, confusion, roc_auc
 from .model import (
-    LevelParams,
     MgNetConfig,
     MgNetParams,
     build,
@@ -66,7 +65,6 @@ from .tensor import (
 from .training import (
     CvResult,
     EpochStats,
-    RunHistory,
     TrainConfig,
     cross_validate,
     evaluate,

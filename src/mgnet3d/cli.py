@@ -232,15 +232,15 @@ def cmd_train(args) -> int:
     checkpoint_path = out_dir / "checkpoint.mgn3"
     save_checkpoint(params, checkpoint_path)
     history_path = out_dir / "history.log"
-    _write_lines(history_path, history.lines())
+    _write_lines(history_path, [e.line() for e in history])
 
     summary_lines = [
         f"fold={fold}",
         f"epochs={train_cfg.epochs}",
-        f"final_loss={_float_repr(history.final_loss())}",
+        f"final_loss={_float_repr(history[-1].loss)}",
     ]
     if eval_records:
-        final_metrics = history.epochs[-1].metrics
+        final_metrics = history[-1].metrics
         if final_metrics is None:
             final_metrics = evaluate(params, eval_records, geometry=manifest.geometry)
         summary_lines.extend(metrics_lines(final_metrics))
@@ -289,6 +289,9 @@ def cmd_params(args) -> int:
 def cmd_cv(args) -> int:
     settings = _resolve(args)
     manifest = load_manifest(_require(settings, "manifest", "--manifest"))
+    out = settings.get("out")
+    if out:
+        Path(out).mkdir(parents=True, exist_ok=True)
     model_cfg = _config(MgNetConfig, settings, "seed_model")
     train_cfg = _config(TrainConfig, settings, "seed_train")
     seed_lines = [
@@ -316,10 +319,8 @@ def cmd_cv(args) -> int:
     report_lines.extend(_summary_lines(result.summary))
     for line in report_lines[len(seed_lines) :]:
         print(line)
-    if settings.get("out"):
-        out_dir = Path(settings["out"])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report_path = out_dir / "cv_report.txt"
+    if out:
+        report_path = Path(out) / "cv_report.txt"
         _write_lines(report_path, report_lines)
         print(f"report={report_path}")
     print(f"time={time.perf_counter() - t0:.3f} total")

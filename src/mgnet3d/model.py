@@ -40,7 +40,6 @@ from .tensor import (
 
 __all__ = [
     "MgNetConfig",
-    "LevelParams",
     "MgNetParams",
     "build",
     "smooth",
@@ -112,47 +111,26 @@ class MgNetConfig:
 
 
 @dataclass
-class LevelParams:
-    """Learnable kernels for one grid level.
-
-    The coarsest grid has no transfer kernels.
-    """
-
-    operator_kernel: Tensor
-    smoother_kernels: list[Tensor]
-    prolongation_kernel: Tensor | None
-    restriction_kernel: Tensor | None
-
-
-@dataclass
 class MgNetParams:
+    """Every learnable tensor, keyed by its ``_kernel_specs`` name, in that order."""
+
     config: MgNetConfig
-    input_kernel: Tensor
-    levels: list[LevelParams]
-    head_weight: Tensor
-    head_bias: Tensor
+    by_name: dict[str, Tensor]
 
     def named_tensors(self) -> Iterator[tuple[str, Tensor]]:
-        """Fixed traversal order shared by checkpoints, SGD, and counting."""
-        yield "input_kernel", self.input_kernel
-        for i, level in enumerate(self.levels, start=1):
-            yield f"level{i}.operator", level.operator_kernel
-            for j, smoother in enumerate(level.smoother_kernels, start=1):
-                yield f"level{i}.smoother{j}", smoother
-            if level.prolongation_kernel is not None:
-                yield f"level{i}.prolongation", level.prolongation_kernel
-            if level.restriction_kernel is not None:
-                yield f"level{i}.restriction", level.restriction_kernel
-        yield "head.weight", self.head_weight
-        yield "head.bias", self.head_bias
+        return iter(self.by_name.items())
 
     def tensors(self) -> Iterator[Tensor]:
-        for _, t in self.named_tensors():
-            yield t
+        return iter(self.by_name.values())
 
 
 def _kernel_specs(config: MgNetConfig) -> list[tuple[str, tuple[int, ...], int | None]]:
-    """(name, shape, fan_in) per tensor in traversal order; fan_in None means zero-init."""
+    """(name, shape, fan_in) per tensor in traversal order; fan_in None means zero-init.
+
+    The only statement of the layout: ``MgNetParams`` keys, init draws,
+    MGN3 order, SGD and counting follow it. The coarsest grid has no
+    transfer kernels.
+    """
     cu, cf = config.feature_channels, config.data_channels
     k3, k1 = SMOOTHER_KERNEL_SIZE, TRANSFER_KERNEL_SIZE
     specs: list[tuple[str, tuple[int, ...], int | None]] = [
@@ -170,41 +148,25 @@ def _kernel_specs(config: MgNetConfig) -> list[tuple[str, tuple[int, ...], int |
     return specs
 
 
-def _assemble(config: MgNetConfig, tensors: list[Tensor]) -> MgNetParams:
-    it = iter(tensors)
-    input_kernel = next(it)
-    levels = []
-    for i in range(config.num_grids):
-        operator = next(it)
-        smoothers = [next(it) for _ in range(config.smoothing_iters[i])]
-        last = i == config.num_grids - 1
-        prolongation = None if last else next(it)
-        restriction = None if last else next(it)
-        levels.append(LevelParams(operator, smoothers, prolongation, restriction))
-    head_weight = next(it)
-    head_bias = next(it)
-    return MgNetParams(config, input_kernel, levels, head_weight, head_bias)
-
-
 def build(config: MgNetConfig) -> MgNetParams:
     """Allocate and seed every learnable tensor.
 
     Kernels draw from U[-s, s] with s = sqrt(1 / fan_in) and fan_in =
     in_channels * kernel_volume; the head bias starts at zero. Draws
-    happen in ``named_tensors`` order, so identical seeds give bitwise
+    happen in ``_kernel_specs`` order, so identical seeds give bitwise
     identical parameters.
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
-    tensors = []
-    for _, shape, fan_in in _kernel_specs(config):
+    by_name = {}
+    for name, shape, fan_in in _kernel_specs(config):
         if fan_in is None:
-            tensors.append(Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True))
+            values = np.zeros(shape, dtype=np.float32)
         else:
             bound = float(np.sqrt(1.0 / fan_in))
             values = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-            tensors.append(Tensor(values, requires_grad=True))
-    return _assemble(config, tensors)
+        by_name[name] = Tensor(values, requires_grad=True)
+    return MgNetParams(config, by_name)
 
 
 def _activate(x: Tensor, use_channel_norm: bool) -> Tensor:
@@ -231,23 +193,25 @@ def smooth(
 def restrict(
     u: Tensor,
     f: Tensor,
-    level: LevelParams,
-    next_operator_kernel: Tensor,
+    operator: Tensor,
+    prolongation: Tensor,
+    restriction: Tensor,
+    next_operator: Tensor,
     use_avg_pool: bool,
 ) -> tuple[Tensor, Tensor]:
     """Move the feature map and the data map to the next coarser grid.
 
-    The coarse data map is assembled from the pre-pooling coarse feature
+    ``operator``, ``prolongation`` and ``restriction`` are this grid's
+    kernels; ``next_operator`` is the coarser grid's operator kernel. The
+    coarse data map is assembled from the pre-pooling coarse feature
     map; average pooling (when enabled) is applied afterwards. Both
     outputs share the coarse spatial shape.
     """
-    if level.prolongation_kernel is None or level.restriction_kernel is None:
-        raise ShapeError("the coarsest grid has no transfer kernels")
-    u_coarse = conv3d(u, level.prolongation_kernel, stride=2, padding=0)
-    residual = sub(f, conv3d(u, level.operator_kernel, stride=1, padding=1))
+    u_coarse = conv3d(u, prolongation, stride=2, padding=0)
+    residual = sub(f, conv3d(u, operator, stride=1, padding=1))
     f_coarse = add(
-        conv3d(residual, level.restriction_kernel, stride=2, padding=0),
-        conv3d(u_coarse, next_operator_kernel, stride=1, padding=1),
+        conv3d(residual, restriction, stride=2, padding=0),
+        conv3d(u_coarse, next_operator, stride=1, padding=1),
     )
     if use_avg_pool:
         u_coarse = avg_pool3d(u_coarse)
@@ -283,7 +247,8 @@ def forward(params: MgNetParams, volume: Tensor, trace: list | None = None) -> T
             f"model expects {cfg.input_channels} input channel(s), volume has shape {volume.shape}"
         )
     level_shapes(cfg, volume.shape[1:])
-    f = _activate(conv3d(volume, params.input_kernel, stride=1, padding=1), cfg.use_channel_norm)
+    p = params.by_name
+    f = _activate(conv3d(volume, p["input_kernel"], stride=1, padding=1), cfg.use_channel_norm)
     # MgNet starts from u0 = 0. The first pass's residual f - A*u0 is then f
     # exactly and u0 + v is v, so that pass runs without the operator conv.
     # A one-grid, one-pass network reads its operator nowhere else; it keeps
@@ -294,18 +259,23 @@ def forward(params: MgNetParams, volume: Tensor, trace: list | None = None) -> T
             np.zeros((cfg.feature_channels,) + volume.shape[1:], dtype=volume.data.dtype),
             dtype=volume.data.dtype,
         )
-    for idx, level in enumerate(params.levels):
-        for smoother in level.smoother_kernels:
+    for i in range(1, cfg.num_grids + 1):
+        operator = p[f"level{i}.operator"]
+        for j in range(1, cfg.smoothing_iters[i - 1] + 1):
+            smoother = p[f"level{i}.smoother{j}"]
             if u is None:
                 v = conv3d(_activate(f, cfg.use_channel_norm), smoother, stride=1, padding=1)
                 u = _activate(v, cfg.use_channel_norm)
             else:
-                u = smooth(u, f, level.operator_kernel, smoother, cfg.use_channel_norm)
+                u = smooth(u, f, operator, smoother, cfg.use_channel_norm)
         if trace is not None:
             trace.append(u.shape[1:])
-        if idx + 1 < cfg.num_grids:
-            u, f = restrict(u, f, level, params.levels[idx + 1].operator_kernel, cfg.use_avg_pool)
-    return linear(global_avg_pool(u), params.head_weight, params.head_bias)
+        if i < cfg.num_grids:
+            u, f = restrict(
+                u, f, operator, p[f"level{i}.prolongation"], p[f"level{i}.restriction"],
+                p[f"level{i + 1}.operator"], cfg.use_avg_pool,
+            )
+    return linear(global_avg_pool(u), p["head.weight"], p["head.bias"])
 
 
 def param_count(params: MgNetParams) -> int:
@@ -440,7 +410,7 @@ def load_checkpoint(path) -> MgNetParams:
     blob_len = int(np.frombuffer(take(4, "config length"), dtype="<u4")[0])
     config = _config_from_bytes(take(blob_len, "config block"))
 
-    tensors = []
+    by_name = {}
     for name, shape, _ in _kernel_specs(config):
         rank = int(np.frombuffer(take(4, f"{name} rank"), dtype="<u4")[0])
         if rank != len(shape):
@@ -453,7 +423,7 @@ def load_checkpoint(path) -> MgNetParams:
         data = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
         if not np.isfinite(data).all():
             raise FormatError(f"{path}: tensor {name} contains non-finite values")
-        tensors.append(Tensor(data, requires_grad=True))
+        by_name[name] = Tensor(data, requires_grad=True)
     if pos != len(raw):
         raise FormatError(f"{path}: {len(raw) - pos} trailing bytes after last tensor")
-    return _assemble(config, tensors)
+    return MgNetParams(config, by_name)

@@ -539,7 +539,6 @@ def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
 
     def adjoint(g: np.ndarray) -> None:
         p = ez / total
-        p = p.copy()
         p[label] -= 1.0
         _accumulate(logits, g * p)
 

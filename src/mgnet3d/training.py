@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,7 +25,6 @@ from .tensor import Tensor, backward, mean_scalars, record, sgd_step, softmax_cr
 __all__ = [
     "TrainConfig",
     "EpochStats",
-    "RunHistory",
     "CvResult",
     "train",
     "evaluate",
@@ -84,28 +83,6 @@ class EpochStats:
         return " ".join(parts)
 
 
-@dataclass
-class RunHistory:
-    """Per-epoch training record with deterministic serialization."""
-
-    epochs: list[EpochStats] = field(default_factory=list)
-
-    def append(self, stats: EpochStats) -> None:
-        if self.epochs and stats.epoch <= self.epochs[-1].epoch:
-            raise ArgumentError(f"epoch indices must increase, got {stats.epoch}")
-        if not np.isfinite(stats.loss):
-            raise ArgumentError(f"history rejects non-finite loss {stats.loss}")
-        self.epochs.append(stats)
-
-    def lines(self) -> list[str]:
-        return [e.line() for e in self.epochs]
-
-    def final_loss(self) -> float:
-        if not self.epochs:
-            raise StateError("history is empty")
-        return self.epochs[-1].loss
-
-
 def _load_normalized(
     record_: VolumeRecord,
     geometry: tuple[int, int, int, int] | None,
@@ -131,8 +108,8 @@ def train(
     eval_records: Sequence[VolumeRecord] | None = None,
     geometry: tuple[int, int, int, int] | None = None,
     on_epoch: Callable[[EpochStats], None] | None = None,
-) -> tuple[MgNetParams, RunHistory]:
-    """Run seeded mini-batch SGD and return the final parameters and history.
+) -> tuple[MgNetParams, list[EpochStats]]:
+    """Run seeded mini-batch SGD; return the final parameters and per-epoch stats.
 
     Each batch runs every sample's forward pass, averages the
     cross-entropy losses, backpropagates, and applies one SGD step. The
@@ -148,7 +125,7 @@ def train(
     params = build(model_config)
     rng = np.random.default_rng(train_cfg.seed)
     cache: dict[str, np.ndarray] = {}
-    history = RunHistory()
+    history: list[EpochStats] = []
     for epoch in range(train_cfg.epochs):
         t0 = time.perf_counter()
         order = rng.permutation(len(train_records))
@@ -284,7 +261,7 @@ def cross_validate(
         params, history = train(
             fold_model_cfg, train_records, fold_train_cfg, geometry=manifest.geometry
         )
-        return evaluate(params, test_records, geometry=manifest.geometry), history.final_loss()
+        return evaluate(params, test_records, geometry=manifest.geometry), history[-1].loss
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -125,14 +125,19 @@ def forward_zero_guess_reference(params: MgNetParams, volume: Tensor) -> Tensor:
     def act(x: Tensor) -> Tensor:
         return relu(channel_norm(x)) if cfg.use_channel_norm else relu(x)
 
-    f = act(conv3d(volume, params.input_kernel, stride=1, padding=1))
+    p = params.by_name
+    f = act(conv3d(volume, p["input_kernel"], stride=1, padding=1))
     u = Tensor(np.zeros((cfg.feature_channels,) + volume.shape[1:], dtype=volume.dtype), dtype=volume.dtype)
-    for idx, level in enumerate(params.levels):
-        for smoother in level.smoother_kernels:
-            u = smooth(u, f, level.operator_kernel, smoother, cfg.use_channel_norm)
-        if idx + 1 < cfg.num_grids:
-            u, f = restrict(u, f, level, params.levels[idx + 1].operator_kernel, cfg.use_avg_pool)
-    return linear(global_avg_pool(u), params.head_weight, params.head_bias)
+    for i in range(1, cfg.num_grids + 1):
+        operator = p[f"level{i}.operator"]
+        for j in range(1, cfg.smoothing_iters[i - 1] + 1):
+            u = smooth(u, f, operator, p[f"level{i}.smoother{j}"], cfg.use_channel_norm)
+        if i < cfg.num_grids:
+            u, f = restrict(
+                u, f, operator, p[f"level{i}.prolongation"], p[f"level{i}.restriction"],
+                p[f"level{i + 1}.operator"], cfg.use_avg_pool,
+            )
+    return linear(global_avg_pool(u), p["head.weight"], p["head.bias"])
 
 
 def avg_pool3d_reference(x: np.ndarray) -> np.ndarray:
@@ -223,13 +228,11 @@ def f64_tensor(rng: np.random.Generator, shape, scale: float = 1.0, requires_gra
 
 def params_to_f64(params: MgNetParams) -> MgNetParams:
     """Deep copy of a parameter set in float64 for high-precision checks."""
-    from mgnet3d.model import _assemble  # structural re-assembly helper
-
-    tensors = [
-        Tensor(t.data.astype(np.float64), requires_grad=True, dtype=np.float64)
-        for t in params.tensors()
-    ]
-    return _assemble(params.config, tensors)
+    by_name = {
+        name: Tensor(t.data.astype(np.float64), requires_grad=True, dtype=np.float64)
+        for name, t in params.named_tensors()
+    }
+    return MgNetParams(params.config, by_name)
 
 
 def count_worker_handoffs(monkeypatch) -> list:

@@ -108,8 +108,8 @@ def test_criterion_1_gradient_suite(rng):
         cfg = MgNetConfig(num_grids=2, smoothing_iters=1, feature_channels=2,
                           data_channels=2, seed=1)
         params = params_to_f64(mg.build(cfg))
-        for t in (params.input_kernel, params.levels[0].smoother_kernels[0],
-                  params.levels[1].smoother_kernels[0], params.levels[0].prolongation_kernel):
+        for t in (params.by_name[name] for name in ("input_kernel", "level1.smoother1",
+                                                     "level2.smoother1", "level1.prolongation")):
             t.data = np.abs(t.data) + 0.05
         volume = Tensor(np.abs(np.random.default_rng(1001).normal(size=(1, 5, 5, 5))) + 0.5,
                         dtype=np.float64)

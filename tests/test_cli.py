@@ -232,6 +232,15 @@ class TestCv:
         assert any(l.startswith("mean_final_loss=") for l in lines)
         assert any(l.startswith("std_final_loss=") for l in lines)
 
+    def test_out_is_a_file_exits_3_before_training(self, capsys, dataset, small_cfg, tmp_path):
+        blocker = tmp_path / "report"
+        blocker.write_text("")
+        code, out, err = run(capsys, "cv", "--manifest", str(dataset), "--k", "2",
+                             "--config", small_cfg, "--out", str(blocker))
+        assert code == 3
+        assert "File exists" in err
+        assert "fold=" not in out
+
     def test_workers_identical_report_on_large_maps(self, capsys, monkeypatch, large_inputs,
                                                     tmp_path):
         # With two fold threads, one fold's adjoint can find the adjoint

@@ -166,12 +166,8 @@ class TestGraphGradients:
             seed=1,
         )
         params = params_to_f64(mg.build(cfg))
-        for t in (
-            params.input_kernel,
-            params.levels[0].smoother_kernels[0],
-            params.levels[1].smoother_kernels[0],
-            params.levels[0].prolongation_kernel,
-        ):
+        for name in ("input_kernel", "level1.smoother1", "level2.smoother1", "level1.prolongation"):
+            t = params.by_name[name]
             t.data = np.abs(t.data) + 0.05
         vol_rng = np.random.default_rng(1001)
         volume = Tensor(np.abs(vol_rng.normal(size=(1, 5, 5, 5))) + 0.5, dtype=np.float64)

@@ -1,9 +1,11 @@
 """Architecture construction, forward pass structure, parameter accounting,
 and checkpoint serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mgnet3d as mg
@@ -73,11 +75,8 @@ class TestBuild:
     def test_single_grid_structure(self):
         params = mg.build(MgNetConfig(num_grids=1, smoothing_iters=1,
                                       feature_channels=2, data_channels=2, seed=0))
-        assert len(params.levels) == 1
-        level = params.levels[0]
-        assert len(level.smoother_kernels) == 1
-        assert level.prolongation_kernel is None
-        assert level.restriction_kernel is None
+        names = [name for name, _ in params.named_tensors()]
+        assert names == ["input_kernel", "level1.operator", "level1.smoother1", "head.weight", "head.bias"]
 
     def test_initialization_bounds(self):
         params = mg.build(tiny_config(feature_channels=4, data_channels=4))
@@ -99,61 +98,62 @@ class TestBuild:
 
     def test_kernel_shapes(self):
         params = mg.build(tiny_config(feature_channels=3, data_channels=3, smoothing_iters=2))
-        assert params.input_kernel.shape == (3, 1, 3, 3, 3)
-        level = params.levels[0]
-        assert level.operator_kernel.shape == (3, 3, 3, 3, 3)
-        assert all(k.shape == (3, 3, 3, 3, 3) for k in level.smoother_kernels)
-        assert level.prolongation_kernel.shape == (3, 3, 1, 1, 1)
-        assert level.restriction_kernel.shape == (3, 3, 1, 1, 1)
-        assert params.head_weight.shape == (2, 3)
-        assert params.head_bias.shape == (2,)
+        k3, k1 = (3, 3, 3, 3, 3), (3, 3, 1, 1, 1)
+        assert {name: t.shape for name, t in params.named_tensors()} == {
+            "input_kernel": (3, 1, 3, 3, 3),
+            "level1.operator": k3, "level1.smoother1": k3, "level1.smoother2": k3,
+            "level1.prolongation": k1, "level1.restriction": k1,
+            "level2.operator": k3, "level2.smoother1": k3, "level2.smoother2": k3,
+            "head.weight": (2, 3),
+            "head.bias": (2,),
+        }
 
 
 class TestSmooth:
     def test_zero_residual_is_fixed_point(self, rng):
         params = mg.build(tiny_config())
-        level = params.levels[0]
+        operator, smoother = params.by_name["level1.operator"], params.by_name["level1.smoother1"]
         u = Tensor(rng.normal(size=(2, 4, 4, 4)).astype(np.float32))
-        f = mg.conv3d(u, level.operator_kernel)  # residual is exactly zero
-        out = mg.smooth(u, f, level.operator_kernel, level.smoother_kernels[0])
+        f = mg.conv3d(u, operator)  # residual is exactly zero
+        out = mg.smooth(u, f, operator, smoother)
         assert np.array_equal(out.data, u.data)
 
     def test_zero_u_nonnegative_f(self, rng):
         params = mg.build(tiny_config())
-        level = params.levels[0]
+        operator, smoother = params.by_name["level1.operator"], params.by_name["level1.smoother1"]
         u = Tensor(np.zeros((2, 4, 4, 4), dtype=np.float32))
         f = Tensor(np.abs(rng.normal(size=(2, 4, 4, 4))).astype(np.float32))
-        out = mg.smooth(u, f, level.operator_kernel, level.smoother_kernels[0])
-        want = mg.relu(mg.conv3d(mg.relu(f), level.smoother_kernels[0])).data
+        out = mg.smooth(u, f, operator, smoother)
+        want = mg.relu(mg.conv3d(mg.relu(f), smoother)).data
         assert np.array_equal(out.data, want)
 
     def test_nonpositive_residual_is_identity(self, rng):
         params = mg.build(tiny_config())
-        level = params.levels[0]
+        operator, smoother = params.by_name["level1.operator"], params.by_name["level1.smoother1"]
         u = Tensor(np.abs(rng.normal(size=(2, 4, 4, 4))).astype(np.float32))
-        f = Tensor(mg.conv3d(u, level.operator_kernel).data - 1.0)  # residual <= -1
-        out = mg.smooth(u, f, level.operator_kernel, level.smoother_kernels[0])
+        f = Tensor(mg.conv3d(u, operator).data - 1.0)  # residual <= -1
+        out = mg.smooth(u, f, operator, smoother)
         assert np.array_equal(out.data, u.data)
 
     def test_matches_op_composition(self, rng):
         params = mg.build(tiny_config())
-        level = params.levels[0]
+        operator, smoother = params.by_name["level1.operator"], params.by_name["level1.smoother1"]
         u = Tensor(rng.normal(size=(2, 4, 4, 4)).astype(np.float32))
         f = Tensor(rng.normal(size=(2, 4, 4, 4)).astype(np.float32))
-        out = mg.smooth(u, f, level.operator_kernel, level.smoother_kernels[0])
+        out = mg.smooth(u, f, operator, smoother)
         composed = mg.add(
             u,
             mg.relu(
                 mg.conv3d(
-                    mg.relu(mg.sub(f, mg.conv3d(u, level.operator_kernel))),
-                    level.smoother_kernels[0],
+                    mg.relu(mg.sub(f, mg.conv3d(u, operator))),
+                    smoother,
                 )
             ),
         )
         assert np.array_equal(out.data, composed.data)
         # Independent float64 oracle for the same composition.
-        a = level.operator_kernel.data
-        b = level.smoother_kernels[0].data
+        a = operator.data
+        b = smoother.data
         residual = f.data.astype(np.float64) - conv3d_reference(u.data, a, 1, 1)
         oracle = u.data.astype(np.float64) + np.maximum(
             conv3d_reference(np.maximum(residual, 0), b, 1, 1), 0
@@ -161,13 +161,16 @@ class TestSmooth:
         assert np.abs(out.data - oracle).max() < 1e-5
 
 
+RESTRICT_KERNELS = ("level1.operator", "level1.prolongation", "level1.restriction", "level2.operator")
+
+
 class TestRestrict:
     def test_coarse_shapes(self, rng):
         params = mg.build(tiny_config())
-        level, nxt = params.levels
+        kernels = [params.by_name[name] for name in RESTRICT_KERNELS]
         u = Tensor(rng.normal(size=(2, 5, 5, 5)).astype(np.float32))
         f = Tensor(rng.normal(size=(2, 5, 5, 5)).astype(np.float32))
-        u2, f2 = mg.restrict(u, f, level, nxt.operator_kernel, use_avg_pool=True)
+        u2, f2 = mg.restrict(u, f, *kernels, use_avg_pool=True)
         assert u2.shape == (2, 3, 3, 3)
         assert f2.shape == (2, 3, 3, 3)
 
@@ -177,15 +180,16 @@ class TestRestrict:
 
     def test_matches_composition_without_pooling(self, rng):
         params = mg.build(tiny_config())
-        level, nxt = params.levels
+        kernels = [params.by_name[name] for name in RESTRICT_KERNELS]
         u = Tensor(rng.normal(size=(2, 5, 5, 5)).astype(np.float32))
         f = Tensor(rng.normal(size=(2, 5, 5, 5)).astype(np.float32))
-        u2, f2 = mg.restrict(u, f, level, nxt.operator_kernel, use_avg_pool=False)
-        u2_ref = mg.conv3d(u, level.prolongation_kernel, stride=2, padding=0)
-        residual = mg.sub(f, mg.conv3d(u, level.operator_kernel))
+        u2, f2 = mg.restrict(u, f, *kernels, use_avg_pool=False)
+        operator, prolongation, restriction, next_operator = kernels
+        u2_ref = mg.conv3d(u, prolongation, stride=2, padding=0)
+        residual = mg.sub(f, mg.conv3d(u, operator))
         f2_ref = mg.add(
-            mg.conv3d(residual, level.restriction_kernel, stride=2, padding=0),
-            mg.conv3d(u2_ref, nxt.operator_kernel),
+            mg.conv3d(residual, restriction, stride=2, padding=0),
+            mg.conv3d(u2_ref, next_operator),
         )
         assert np.array_equal(u2.data, u2_ref.data)
         assert np.array_equal(f2.data, f2_ref.data)
@@ -193,11 +197,11 @@ class TestRestrict:
     def test_pooling_applies_after_coarse_data_map(self, rng):
         # The coarse data map must be built from the pre-pooling features.
         params = mg.build(tiny_config())
-        level, nxt = params.levels
+        kernels = [params.by_name[name] for name in RESTRICT_KERNELS]
         u = Tensor(rng.normal(size=(2, 5, 5, 5)).astype(np.float32))
         f = Tensor(rng.normal(size=(2, 5, 5, 5)).astype(np.float32))
-        u_pool, f_pool = mg.restrict(u, f, level, nxt.operator_kernel, use_avg_pool=True)
-        u_raw, f_raw = mg.restrict(u, f, level, nxt.operator_kernel, use_avg_pool=False)
+        u_pool, f_pool = mg.restrict(u, f, *kernels, use_avg_pool=True)
+        u_raw, f_raw = mg.restrict(u, f, *kernels, use_avg_pool=False)
         assert np.array_equal(f_pool.data, f_raw.data)
         assert np.array_equal(u_pool.data, mg.avg_pool3d(u_raw).data)
 
@@ -205,9 +209,9 @@ class TestRestrict:
 class TestForward:
     def test_zero_volume_gives_head_bias(self, rng):
         params = mg.build(tiny_config())
-        params.head_bias.data = rng.normal(size=2).astype(np.float32)
+        params.by_name["head.bias"].data = rng.normal(size=2).astype(np.float32)
         logits = mg.forward(params, Tensor(np.zeros((1, 5, 5, 5), dtype=np.float32)))
-        assert np.array_equal(logits.data, params.head_bias.data)
+        assert np.array_equal(logits.data, params.by_name["head.bias"].data)
 
     def test_finite_logits(self, rng):
         params = mg.build(tiny_config())
@@ -344,6 +348,12 @@ GOLDEN_CONFIG_BLOCK = (
 )
 
 
+# sha256 of the MGN3 file of build(MgNetConfig(num_grids=3,
+# smoothing_iters=(2, 1, 2), feature_channels=4, data_channels=4, seed=3)):
+# init draws, tensor order and encoding all feed it.
+GOLDEN_CHECKPOINT_SHA256 = "2af29d6f4d927314663c70fd066c5f85f003a69b347a84e1dbe4af64ff6c9cb7"
+
+
 def config_block(raw: bytes) -> bytes:
     """The config block of an MGN3 file: after magic, version and its u32 length."""
     return raw[12 : 12 + int.from_bytes(raw[8:12], "little")]
@@ -354,11 +364,43 @@ def with_config_block(raw: bytes, block: bytes) -> bytes:
     return raw[:8] + len(block).to_bytes(4, "little") + block + rest
 
 
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "model.mgn3"
+    mg.save_checkpoint(mg.build(tiny_config(smoothing_iters=(2, 1), use_avg_pool=False, seed=11)), path)
+    return path, path.read_bytes()
+
+
 class TestCheckpoint:
     def test_config_block_golden_bytes(self, tmp_path):
         path = tmp_path / "model.mgn3"
         mg.save_checkpoint(mg.build(tiny_config(smoothing_iters=(2, 1), use_avg_pool=False, seed=11)), path)
         assert config_block(path.read_bytes()) == GOLDEN_CONFIG_BLOCK
+
+    def test_golden_checkpoint_bytes(self, tmp_path):
+        path = tmp_path / "model.mgn3"
+        cfg = MgNetConfig(num_grids=3, smoothing_iters=(2, 1, 2), feature_channels=4, data_channels=4, seed=3)
+        mg.save_checkpoint(mg.build(cfg), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CHECKPOINT_SHA256
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_corrupted_bytes_load_or_raise_format_error(self, saved_checkpoint, data):
+        path, raw = saved_checkpoint
+        # Half the substitutions land in the magic, version, config block
+        # and first tensor header, where most of the parsing happens.
+        index = st.integers(0, 200) | st.integers(0, len(raw) - 1)
+        corrupted = bytearray(raw)
+        for i, value in data.draw(st.lists(st.tuples(index, st.integers(0, 255)), max_size=4)):
+            corrupted[i] = value
+        keep = data.draw(st.just(len(raw)) | st.integers(0, len(raw)))
+        path.write_bytes(bytes(corrupted[:keep]))
+        try:
+            loaded = mg.load_checkpoint(path)
+        except FormatError:
+            return
+        for name, t in loaded.named_tensors():
+            assert t.data.dtype == np.float32 and np.isfinite(t.data).all(), name
 
     @pytest.mark.parametrize(
         "block",

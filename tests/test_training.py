@@ -55,24 +55,24 @@ class TestTrain:
         params, history = mg.train(cfg, tiny_dataset.records, tc, geometry=tiny_dataset.geometry)
         for (name, a), (_, b) in zip(initial.named_tensors(), params.named_tensors()):
             assert np.array_equal(a.data, b.data), name
-        assert len(history.epochs) == 2
+        assert len(history) == 2
 
     def test_loss_decreases_on_separable_data(self, tiny_dataset):
         # Full-batch descent: 8 scans per step keeps the trajectory stable.
         cfg = tiny_model_config()
         tc = TrainConfig(learning_rate=0.5, batch_size=8, epochs=20, seed=0, log_every=0)
         _, history = mg.train(cfg, tiny_dataset.records, tc, geometry=tiny_dataset.geometry)
-        assert history.epochs[-1].loss < history.epochs[0].loss
+        assert history[-1].loss < history[0].loss
 
     def test_bitwise_reproducible_history(self, tiny_dataset):
         cfg = tiny_model_config()
         tc = TrainConfig(learning_rate=0.02, batch_size=2, epochs=3, seed=9, log_every=0)
         _, h1 = mg.train(cfg, tiny_dataset.records, tc, geometry=tiny_dataset.geometry)
         _, h2 = mg.train(cfg, tiny_dataset.records, tc, geometry=tiny_dataset.geometry)
-        assert "\n".join(h1.lines()) == "\n".join(h2.lines())
+        assert "\n".join(e.line() for e in h1) == "\n".join(e.line() for e in h2)
         tc_other = TrainConfig(learning_rate=0.02, batch_size=2, epochs=3, seed=10, log_every=0)
         _, h3 = mg.train(cfg, tiny_dataset.records, tc_other, geometry=tiny_dataset.geometry)
-        assert "\n".join(h1.lines()) != "\n".join(h3.lines())
+        assert "\n".join(e.line() for e in h1) != "\n".join(e.line() for e in h3)
 
     def test_adjoint_worker_does_not_change_parameters(self, large_dataset, monkeypatch):
         cfg = tiny_model_config(feature_channels=16, data_channels=16)
@@ -90,7 +90,7 @@ class TestTrain:
         cfg = tiny_model_config()
         tc = TrainConfig(learning_rate=0.0, batch_size=2, epochs=1, seed=0, log_every=0)
         _, history = mg.train(cfg, tiny_dataset.records, tc, geometry=tiny_dataset.geometry)
-        assert abs(history.epochs[0].loss - np.log(2.0)) < 0.2
+        assert abs(history[0].loss - np.log(2.0)) < 0.2
 
     def test_single_class_rejected(self, tiny_dataset):
         positives = [r for r in tiny_dataset.records if r.label == 1]
@@ -119,9 +119,9 @@ class TestTrain:
             eval_records=tiny_dataset.records,
             geometry=tiny_dataset.geometry,
         )
-        flagged = [e.metrics is not None for e in history.epochs]
+        flagged = [e.metrics is not None for e in history]
         assert flagged == [False, True, False, True]
-        line = history.epochs[1].line()
+        line = history[1].line()
         assert "acc=" in line and "auc=" in line
 
 
