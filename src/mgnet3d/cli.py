@@ -67,6 +67,13 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def path_text(text: str) -> str:
+    """A file or directory name; the system calls refuse one with a NUL byte."""
+    if "\0" in text:
+        raise ValueError(f"path {text!r} contains a NUL byte")
+    return text
+
+
 # Run-protocol keys: (value parser, default, flag help). The model and
 # training keys are the MgNetConfig and TrainConfig fields; each class's
 # ``seed`` comes from its seed_* key here.
@@ -75,10 +82,10 @@ _PROTOCOL_KEYS = {
     "seed_train": (non_negative_int, 0, "shuffle seed"),
     "seed_split": (non_negative_int, 0, "fold assignment seed"),
     "seed_data": (non_negative_int, 0, "dataset generation seed"),
-    "manifest": (str, None, "dataset manifest CSV"),
-    "folds": (str, None, "fold assignment CSV"),
-    "checkpoint": (str, None, "checkpoint path"),
-    "out": (str, None, "output directory"),
+    "manifest": (path_text, None, "dataset manifest CSV"),
+    "folds": (path_text, None, "fold assignment CSV"),
+    "checkpoint": (path_text, None, "checkpoint path"),
+    "out": (path_text, None, "output directory"),
     "k": (int, 10, "number of folds"),
     "fold": (int, None, "fold index"),
     "workers": (int, 1, "parallel fold workers"),
@@ -348,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     )  # fmt: skip
     for name, func, help_text, keys in commands:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", type=str, default=None, help="flat key=value configuration file")
+        p.add_argument("--config", type=path_text, default=None, help="flat key=value configuration file")
         for key in keys:
             if key in train_keys:
                 parse, flag_help = train_keys[key], f"training {key.replace('_', ' ')}"

@@ -15,6 +15,7 @@ Fold files: UTF-8 CSV with header ``subject_id,fold``.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from contextlib import contextmanager
@@ -171,26 +172,40 @@ class Manifest:
         return out
 
 
-def _read_csv(path, what: str) -> list[list[str]]:
+def _read_table(path, header: list[str], what: str) -> list[list[str]]:
+    """The rows below ``header`` in a UTF-8 CSV file, each of its width."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return list(csv.reader(fh))
+            rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {what} is not UTF-8: {exc}") from None
+    if not rows or rows[0] != header:
+        raise FormatError(f"{path}: {what} header must be {','.join(header)}")
+    for row in rows[1:]:
+        if len(row) != len(header):
+            raise FormatError(f"{path}: malformed {what} row {row!r}")
+    return rows[1:]
+
+
+def _write_table(path, header: list[str], rows) -> None:
+    """Write a UTF-8 CSV file through :func:`atomic_write`."""
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows([header, *rows])
+    with atomic_write(path) as fh:
+        fh.write(text.getvalue().encode("utf-8"))
 
 
 def save_manifest(manifest: Manifest, path) -> None:
     path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_MANIFEST_HEADER)
-        for r in manifest.records:
-            p = Path(r.volume_path)
-            try:
-                p = p.relative_to(path.parent)
-            except ValueError:
-                pass
-            writer.writerow([r.subject_id, r.scan_id, r.label, p.as_posix()])
+    rows = []
+    for r in manifest.records:
+        p = Path(r.volume_path)
+        try:
+            p = p.relative_to(path.parent)
+        except ValueError:
+            pass
+        rows.append([r.subject_id, r.scan_id, r.label, p.as_posix()])
+    _write_table(path, _MANIFEST_HEADER, rows)
 
 
 def load_manifest(path, resolve_geometry: bool = True) -> Manifest:
@@ -200,18 +215,14 @@ def load_manifest(path, resolve_geometry: bool = True) -> Manifest:
     supplies the declared geometry.
     """
     path = Path(path)
-    rows = _read_csv(path, "manifest")
-    if not rows or rows[0] != _MANIFEST_HEADER:
-        raise FormatError(f"{path}: manifest header must be {','.join(_MANIFEST_HEADER)}")
     records = []
-    for row in rows[1:]:
-        if len(row) != 4:
-            raise FormatError(f"{path}: malformed manifest row {row!r}")
-        subject_id, scan_id, label_text, volume_path = row
+    for subject_id, scan_id, label_text, volume_path in _read_table(path, _MANIFEST_HEADER, "manifest"):
         try:
             label = int(label_text)
         except ValueError:
             raise FormatError(f"{path}: non-integer label {label_text!r}") from None
+        if "\0" in volume_path:
+            raise FormatError(f"{path}: volume path {volume_path!r} contains a NUL byte")
         vp = Path(volume_path)
         if not vp.is_absolute():
             vp = path.parent / vp
@@ -244,22 +255,12 @@ class FoldAssignment:
         return train, test
 
     def save(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_FOLDS_HEADER)
-            for subject, fold in self.folds.items():
-                writer.writerow([subject, fold])
+        _write_table(path, _FOLDS_HEADER, self.folds.items())
 
     @classmethod
     def load(cls, path) -> "FoldAssignment":
-        rows = _read_csv(path, "folds file")
-        if not rows or rows[0] != _FOLDS_HEADER:
-            raise FormatError(f"{path}: folds header must be {','.join(_FOLDS_HEADER)}")
         folds: dict[str, int] = {}
-        for row in rows[1:]:
-            if len(row) != 2:
-                raise FormatError(f"{path}: malformed folds row {row!r}")
-            subject, fold_text = row
+        for subject, fold_text in _read_table(path, _FOLDS_HEADER, "folds file"):
             try:
                 fold = int(fold_text)
             except ValueError:

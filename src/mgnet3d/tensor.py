@@ -96,9 +96,9 @@ class _TapeOp(NamedTuple):
 class Tape:
     """Ordered record of executed operations.
 
-    ``ops`` grows in execution order; :func:`backward` walks it strictly in
+    ``ops`` grows in execution order; :func:`backward` pops it strictly in
     reverse, so every consumer of a tensor propagates its adjoint before
-    the producer runs.
+    the producer runs, and leaves it empty.
     """
 
     def __init__(self) -> None:
@@ -130,7 +130,7 @@ def backward(loss: Tensor) -> None:
     but do not influence the loss end with an explicit zero gradient.
     Intermediate tensors and the root end with ``grad`` None: each one's
     gradient is dropped as soon as its producer has consumed it. A tape
-    runs once; afterwards it is freed together with the root.
+    runs once: backward consumes it.
     """
     tape = loss._tape
     if tape is None:
@@ -138,24 +138,21 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ArgumentError(f"backward root must be a scalar, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
-    # An output's gradient is dropped once its producer has consumed it,
-    # so only the adjoints still waiting for a consumer are held.
-    for op in reversed(tape.ops):
+    # The walk pops each op off the tape, so its adjoint closure and the
+    # arrays it saved are freed before the next adjoint runs, and its output
+    # lets go of the tape (output -> tape -> op -> output is a cycle). An op
+    # whose output got no gradient lies off the path to the root: its leaves
+    # (no op still on the tape produced them) start from zeros.
+    while tape.ops:
+        op = tape.ops.pop()
+        op.out._tape = None
         if op.out.grad is not None:
             op.adjoint(op.out.grad)
             op.out.grad = None
-    # Leaves (tensors no op on this tape produced) that fed it but lie off
-    # the path to the root still finish with a concrete zero gradient. Each
-    # output then lets go of the tape: output -> tape -> op -> output is a
-    # cycle, and breaking it frees the tape and every activation it saved
-    # as soon as the caller drops the root, not at the next cyclic
-    # collection.
-    for op in tape.ops:
-        for t in op.inputs:
-            if t.requires_grad and t.grad is None and t._tape is not tape:
-                t.grad = np.zeros_like(t.data)
-    for op in tape.ops:
-        op.out._tape = None
+        else:
+            for t in op.inputs:
+                if t.requires_grad and t.grad is None and t._tape is not tape:
+                    t.grad = np.zeros_like(t.data)
 
 
 def _attach(out: Tensor, inputs: Sequence[Tensor], adjoint: Callable[[np.ndarray], None]) -> Tensor:
@@ -285,16 +282,15 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
     dtype = x.data.dtype
     offsets = [(a, b, c) for a in range(kd) for b in range(kh) for c in range(kw)]
 
-    # The engine runs a stride-1 convolution on ``src`` and keeps every
-    # ``step``-th output. An unpadded 1x1x1 kernel (a grid transfer) reads
-    # only the voxels it outputs, so it subsamples its input instead and
-    # runs on the coarse grid.
+    # The engine runs a stride-1 convolution on ``src``, the padded ``view``
+    # of x, and keeps every ``step``-th output. An unpadded 1x1x1 kernel (a
+    # grid transfer) reads only the voxels it outputs, so its view is the
+    # subsampled input, on the coarse grid. Every operand is built from it.
     transfer = kd == 1 and not padding
     coarse = (slice(None),) + (slice(None, None, stride),) * 3
-    if transfer:
-        src, step = np.ascontiguousarray(x.data[coarse]), 1
-    else:
-        src, step = np.pad(x.data, ((0, 0),) + ((padding, padding),) * 3) if padding else x.data, stride
+    view, step = (x.data[coarse], 1) if transfer else (x.data, stride)
+    pad = ((padding, padding),) * 3
+    src = np.pad(view, ((0, 0),) + pad)
     sd, sh, sw = src.shape[1:]
     full = (sd - kd + 1, sh - kh + 1, sw - kw + 1)
     # Output voxel (i, j, l) sits at flat index q = i*sh*sw + j*sw + l of a
@@ -322,16 +318,14 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
     def kernel_grad(g: np.ndarray) -> np.ndarray:
         # Per tap, gk = g [c_out, oD*oH*oW] @ window [oD*oH*oW, c_in]. The
         # windows come from a channels-last copy of src, so a copy moves
-        # whole c_in rows; it is rebuilt here from x, which the tape holds
+        # whole c_in rows; it is rebuilt here from view, which the tape holds
         # anyway, instead of keeping src alive until backward. Each GEMM's
         # operands are those of a per-tap tensordot, and so is its rounding.
-        if transfer:
-            src_cl = x.data[coarse].transpose(1, 2, 3, 0)
-        else:
-            src_cl = np.pad(x.data.transpose(1, 2, 3, 0), ((padding, padding),) * 3 + ((0, 0),))
+        src_cl = np.pad(view.transpose(1, 2, 3, 0), pad + ((0, 0),))
         # With one output row BLAS runs a matrix-vector product and splits
-        # its D*H*W sum across threads; a zero second row keeps it a GEMM,
-        # whose sums do not depend on the thread count.
+        # its D*H*W sum across threads; a zero second row keeps it the GEMM
+        # of wider kernels, whose sums match at 1 and 2 BLAS threads up to
+        # c=16 but not at c >= 24.
         g_rows = g.reshape(c_out, -1)
         if c_out == 1:
             g_rows = np.concatenate([g_rows, np.zeros_like(g_rows)])
@@ -364,11 +358,8 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
         # at step 1 keeps them all). Voxel q0 + j of x's own planes, from
         # q0 on, then gathers column q0 + s_max - s_t + j.
         s_max, q0 = shifts[-1], padding * sh * sw
-        if g.shape[1:] == (sd, sh, sw):
-            g_flat = g.reshape(c_out, -1)
-        else:
-            g_flat = np.zeros((c_out, s_max + sd * sh * sw), dtype=g.dtype)
-            crop(g_flat[:, s_max : s_max + full[0] * sh * sw])[...] = g
+        g_flat = np.zeros((c_out, s_max + sd * sh * sw), dtype=g.dtype)
+        crop(g_flat[:, s_max : s_max + full[0] * sh * sw])[...] = g
         taps_t = kdata.transpose(2, 3, 4, 1, 0).reshape(len(offsets), c_in, c_out).copy()
         planes = np.empty((c_in, (sd - 2 * padding) * sh * sw), dtype=g.dtype)
         _shift_sum(taps_t, g_flat, [q0 + s_max - s for s in shifts], planes)

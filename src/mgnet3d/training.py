@@ -121,6 +121,8 @@ def train(
     labels = {r.label for r in train_records}
     if labels != {0, 1}:
         raise ArgumentError(f"training set must contain both classes, got labels {sorted(labels)}")
+    if model_config.num_classes != 2:
+        raise ArgumentError(f"training requires a binary head, model has {model_config.num_classes} classes")
 
     params = build(model_config)
     rng = np.random.default_rng(train_cfg.seed)

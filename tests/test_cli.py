@@ -387,3 +387,69 @@ class TestErrors:
                            "--config", str(cfg))
         assert code == 2
         assert "learning_rate must be finite" in err
+
+    @pytest.mark.parametrize("key", ["out", "manifest", "checkpoint", "folds"])
+    @pytest.mark.parametrize("command", ["cv", "synth", "split", "eval", "train"])
+    def test_nul_path_in_config_exit_2(self, capsys, tmp_path, command, key):
+        cfg = tmp_path / "nul.cfg"
+        cfg.write_text(f"{key}=a\0b\n")
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"{cfg}:1: bad value 'a\\x00b' for key {key!r}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["params", "--config", "a\0b"],
+        ["synth", "--out", "a\0b"],
+        ["eval", "--checkpoint", "a\0b"],
+    ])
+    def test_nul_path_flag_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid path_text value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["split", "cv"])
+    def test_nul_volume_path_in_manifest_exit_3(self, capsys, tmp_path, dataset, command):
+        bad = tmp_path / "manifest.csv"
+        bad.write_bytes(dataset.read_bytes().replace(b".vol", b"\0.vol", 1))
+        code, out, err = run(capsys, command, "--manifest", str(bad), "--k", "2",
+                             "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert out == ""
+        assert "contains a NUL byte" in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestBinaryHead:
+    """A head that is not binary is refused before any training."""
+
+    @pytest.fixture
+    def three_class_cfg(self, tmp_path, small_cfg):
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text(open(small_cfg).read() + "num_classes=3\n")
+        return str(cfg)
+
+    def test_cv_exit_2_before_any_fold(self, capsys, monkeypatch, dataset, three_class_cfg, tmp_path):
+        steps = []
+        monkeypatch.setattr(mg.training, "sgd_step", lambda *args: steps.append(args))
+        code, out, err = run(capsys, "cv", "--manifest", str(dataset), "--k", "2",
+                             "--config", three_class_cfg, "--out", str(tmp_path / "cv"))
+        assert code == 2
+        assert steps == []
+        assert "binary head" in err
+        assert "fold=" not in out
+        assert not (tmp_path / "cv" / "cv_report.txt").exists()
+
+    def test_train_exit_2_without_checkpoint(self, capsys, dataset, three_class_cfg, tmp_path):
+        assert main(["split", "--manifest", str(dataset), "--k", "2", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        run_dir = tmp_path / "run"
+        code, out, err = run(capsys, "train", "--manifest", str(dataset),
+                             "--folds", str(tmp_path / "folds.csv"), "--fold", "0",
+                             "--config", three_class_cfg, "--out", str(run_dir))
+        assert code == 2
+        assert "binary head" in err
+        assert "epoch=" not in out and "fold=" not in out
+        assert not (run_dir / "checkpoint.mgn3").exists()
+        assert not (run_dir / "history.log").exists()

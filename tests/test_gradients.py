@@ -178,9 +178,10 @@ class TestGraphGradients:
 
         with record() as tape:
             probe = loss()
+        ops = list(tape.ops)
         backward(probe)
         margins = []
-        for op in tape.ops:
+        for op in ops:
             if "relu" in op.adjoint.__qualname__:
                 magnitudes = np.abs(op.inputs[0].data)
                 nonzero = magnitudes[magnitudes > 0]

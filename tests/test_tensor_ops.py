@@ -570,13 +570,41 @@ class TestTapeSemantics:
             off_path = mg.relu(orphan)
             h = mg.relu(mg.conv3d(x, k))
             loss = reduce_sum(h)
+        outputs = [op.out for op in tape.ops]
         mg.backward(loss)
         assert x.grad is not None and np.abs(x.grad).max() > 0
         assert k.grad is not None and np.abs(k.grad).max() > 0
         assert np.array_equal(orphan.grad, np.zeros(3)) and not np.signbit(orphan.grad).any()
-        assert len(tape.ops) == 4
-        assert all(op.out.grad is None for op in tape.ops)
+        assert len(outputs) == 4 and tape.ops == []
+        assert all(out.grad is None for out in outputs)
         assert off_path.grad is None and h.grad is None and loss.grad is None
+
+    def test_backward_consumes_the_tape(self, rng):
+        # Each op leaves the tape as its adjoint runs, so when the first
+        # op's adjoint runs, a later output that only the tape held is
+        # already freed, with its array. The probe wraps an adjoint as
+        # perfbench does.
+        x = Tensor(rng.normal(size=(4,)).astype(np.float32), requires_grad=True)
+        with mg.record() as tape:
+            y = mg.scale(mg.relu(x), 2.0)
+            loss = reduce_sum(mg.scale(y, 3.0))
+        later = weakref.ref(y.data)
+        del y
+        seen = []
+        first = tape.ops[0]
+
+        def probe(g, adjoint=first.adjoint):
+            seen.append(later())
+            adjoint(g)
+
+        tape.ops[0] = first._replace(adjoint=probe)
+        del first
+        mg.backward(loss)
+        assert len(seen) == 1 and seen[0] is None
+        assert tape.ops == []
+        assert np.array_equal(x.grad, 6.0 * (x.data > 0))
+        with pytest.raises(ArgumentError):
+            mg.backward(loss)
 
 
 class TestBackwardMemory:
