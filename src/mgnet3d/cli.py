@@ -12,8 +12,8 @@ can be reproduced from its header. Output is byte-identical across runs
 with fixed seeds and inputs, except wall-clock lines, which always start
 with ``time=``.
 
-Exit codes: 0 success, 2 argument/config error, 3 data/format error,
-4 numeric divergence.
+Exit codes: 0 on success; on failure, the ``exit_code`` of the
+``mgnet3d.errors`` class raised, or 3 for an operating-system error.
 """
 
 from __future__ import annotations
@@ -25,15 +25,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .data import FoldAssignment, atomic_write, load_manifest, stratified_group_kfold, synth_generate
-from .errors import (
-    ArgumentError,
-    ConfigError,
-    DataError,
-    DivergenceError,
-    FormatError,
-    ShapeError,
-    StateError,
-)
+from .errors import ConfigError, MgnetError
 from .metrics import EvalMetrics
 from .model import (
     MgNetConfig,
@@ -55,9 +47,7 @@ REFERENCE_MGNET3D_PARAMS = 6_202_754
 REFERENCE_RESNET3D_PARAMS = 8_288_290
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_DIVERGED = 4
+EXIT_OS_ERROR = 3
 
 
 def non_negative_int(text: str) -> int:
@@ -109,6 +99,8 @@ def parse_config_file(path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config file is not UTF-8: {exc}") from None
     return {key: value for _, key, value in parse_key_values(text, _CONFIG_SCHEMA, f"{path}:")}
@@ -136,9 +128,14 @@ def _config(cls, settings: dict, seed_key: str):
     return cfg
 
 
-def _require(settings: dict, key: str, flag: str) -> object:
+def _flag(key: str) -> str:
+    """The command-line flag named after a settings key."""
+    return f"--{key.replace('_', '-')}"
+
+
+def _require(settings: dict, key: str) -> object:
     if key not in settings:
-        raise ConfigError(f"{key} is required (flag {flag} or config key {key!r})")
+        raise ConfigError(f"{key} is required (flag {_flag(key)} or config key {key!r})")
     return settings[key]
 
 
@@ -171,7 +168,7 @@ def _parse_size(text: str):
 
 def cmd_synth(args) -> int:
     settings = _resolve(args)
-    out_dir = Path(_require(settings, "out", "--out"))
+    out_dir = Path(_require(settings, "out"))
     print(f"seed_data={settings['seed_data']}")
     manifest = synth_generate(
         out_dir,
@@ -193,8 +190,8 @@ def cmd_synth(args) -> int:
 
 def cmd_split(args) -> int:
     settings = _resolve(args)
-    manifest = load_manifest(_require(settings, "manifest", "--manifest"), resolve_geometry=False)
-    out_dir = Path(_require(settings, "out", "--out"))
+    manifest = load_manifest(_require(settings, "manifest"), resolve_geometry=False)
+    out_dir = Path(_require(settings, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     print(f"seed_split={settings['seed_split']}")
     assignment = stratified_group_kfold(manifest, settings["k"], settings["seed_split"])
@@ -211,10 +208,10 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     settings = _resolve(args)
-    manifest = load_manifest(_require(settings, "manifest", "--manifest"))
-    assignment = FoldAssignment.load(_require(settings, "folds", "--folds"))
-    fold = int(_require(settings, "fold", "--fold"))
-    out_dir = Path(_require(settings, "out", "--out"))
+    manifest = load_manifest(_require(settings, "manifest"))
+    assignment = FoldAssignment.load(_require(settings, "folds"))
+    fold = int(_require(settings, "fold"))
+    out_dir = Path(_require(settings, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     model_cfg = _config(MgNetConfig, settings, "seed_model")
     train_cfg = _config(TrainConfig, settings, "seed_train")
@@ -263,8 +260,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     settings = _resolve(args)
-    params = load_checkpoint(_require(settings, "checkpoint", "--checkpoint"))
-    manifest = load_manifest(_require(settings, "manifest", "--manifest"))
+    params = load_checkpoint(_require(settings, "checkpoint"))
+    manifest = load_manifest(_require(settings, "manifest"))
     records = manifest.records
     folds, fold = settings.get("folds"), settings.get("fold")
     if (folds is None) != (fold is None):
@@ -295,7 +292,7 @@ def cmd_params(args) -> int:
 
 def cmd_cv(args) -> int:
     settings = _resolve(args)
-    manifest = load_manifest(_require(settings, "manifest", "--manifest"))
+    manifest = load_manifest(_require(settings, "manifest"))
     out = settings.get("out")
     if out:
         Path(out).mkdir(parents=True, exist_ok=True)
@@ -361,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
                 parse, flag_help = train_keys[key], f"training {key.replace('_', ' ')}"
             else:
                 parse, _, flag_help = _PROTOCOL_KEYS[key]
-            p.add_argument(f"--{key.replace('_', '-')}", type=parse, default=None, help=flag_help)
+            p.add_argument(_flag(key), type=parse, default=None, help=flag_help)
         if name in ("train", "params", "cv"):
             p.add_argument("--no-avg-pool", action="store_true", help="disable coarse-grid average pooling")
         if name == "synth":
@@ -379,18 +376,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DivergenceError as exc:
+    except (MgnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except (FormatError, DataError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ConfigError, ArgumentError, StateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return exc.exit_code if isinstance(exc, MgnetError) else EXIT_OS_ERROR
 
 
 def entrypoint() -> None:

@@ -28,8 +28,6 @@ from .errors import ArgumentError, DataError, FormatError
 from .tensor import Tensor
 
 __all__ = [
-    "VOLUME_MAGIC",
-    "VOLUME_VERSION",
     "VolumeRecord",
     "Manifest",
     "FoldAssignment",
@@ -42,7 +40,6 @@ __all__ = [
     "stratified_group_kfold",
     "synth_generate",
     "atrophy_mask",
-    "atomic_write",
 ]
 
 VOLUME_MAGIC = b"VOL3"
@@ -84,10 +81,8 @@ def save_volume(path, volume) -> None:
         fh.write(arr.astype("<f4", copy=False).tobytes())
 
 
-def read_volume_header(path) -> tuple[int, int, int, int]:
-    """Read just the declared geometry (channels, D, H, W) of a VOL3 file."""
-    with open(path, "rb") as fh:
-        raw = fh.read(24)
+def _parse_volume_header(raw: bytes, path) -> tuple[int, int, int, int]:
+    """The declared geometry (channels, D, H, W) from a VOL3 file's leading bytes."""
     if len(raw) < 4 or raw[:4] != VOLUME_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {VOLUME_MAGIC!r}")
     if len(raw) < 24:
@@ -102,10 +97,16 @@ def read_volume_header(path) -> tuple[int, int, int, int]:
     return shape
 
 
+def read_volume_header(path) -> tuple[int, int, int, int]:
+    """Read just the declared geometry (channels, D, H, W) of a VOL3 file."""
+    with open(path, "rb") as fh:
+        return _parse_volume_header(fh.read(24), path)
+
+
 def load_volume(path) -> Tensor:
     """Read a VOL3 file into a float32 tensor, validating the payload."""
-    shape = read_volume_header(path)
     raw = Path(path).read_bytes()
+    shape = _parse_volume_header(raw, path)
     count = math.prod(shape)  # Python ints: a u32 extent product can overflow int64
     expected = 24 + 4 * count
     if len(raw) != expected:

@@ -1,13 +1,15 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: configuration and argument
-problems exit 2, data and file-format problems exit 3, and numerical
-divergence in training or evaluation exits 4.
+Each class carries the process ``exit_code`` that the CLI returns when it
+stops on that error; a subclass inherits its parent's code unless it
+declares its own.
 """
 
 
 class MgnetError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class ConfigError(MgnetError, ValueError):
@@ -21,6 +23,8 @@ class ArgumentError(MgnetError, ValueError):
 class ShapeError(ArgumentError):
     """Tensor shapes are incompatible with the requested operation."""
 
+    exit_code = 3
+
 
 class StateError(MgnetError, RuntimeError):
     """An operation was invoked in an invalid state (e.g. missing gradients)."""
@@ -29,13 +33,19 @@ class StateError(MgnetError, RuntimeError):
 class FormatError(MgnetError, ValueError):
     """A file does not conform to its declared binary or text format."""
 
+    exit_code = 3
+
 
 class DataError(MgnetError, ValueError):
     """File contents are structurally valid but semantically unusable."""
 
+    exit_code = 3
+
 
 class DivergenceError(MgnetError, ArithmeticError):
     """Training produced a non-finite loss, or evaluation a non-finite logit."""
+
+    exit_code = 4
 
     def __init__(self, message: str, epoch: int | None = None, batch: int | None = None):
         super().__init__(message)

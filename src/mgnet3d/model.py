@@ -50,10 +50,6 @@ __all__ = [
     "param_breakdown",
     "save_checkpoint",
     "load_checkpoint",
-    "CHECKPOINT_MAGIC",
-    "CHECKPOINT_VERSION",
-    "SMOOTHER_KERNEL_SIZE",
-    "TRANSFER_KERNEL_SIZE",
 ]
 
 CHECKPOINT_MAGIC = b"MGN3"

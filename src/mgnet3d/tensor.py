@@ -31,7 +31,6 @@ from .errors import ArgumentError, ShapeError, StateError
 
 __all__ = [
     "Tensor",
-    "Tape",
     "record",
     "backward",
     "sgd_step",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,8 +31,6 @@ __all__ = [
     "cross_validate",
     "summarize_folds",
 ]
-
-_METRIC_NAMES = ("accuracy", "auc", "sensitivity", "specificity")
 
 
 @dataclass
@@ -221,9 +219,10 @@ class CvResult:
 def summarize_folds(
     fold_metrics: Sequence[EvalMetrics], final_losses: Sequence[float]
 ) -> dict[str, float]:
-    """Mean and population std of each metric, then of the final training
-    loss, across folds."""
-    columns = {name: [getattr(m, name) for m in fold_metrics] for name in _METRIC_NAMES}
+    """Mean and population std of each float field of ``EvalMetrics``,
+    then of the final training loss, across folds."""
+    names = [f.name for f in fields(EvalMetrics) if f.type == "float"]
+    columns = {name: [getattr(m, name) for m in fold_metrics] for name in names}
     columns["final_loss"] = list(final_losses)
     out: dict[str, float] = {}
     for name, column in columns.items():

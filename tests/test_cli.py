@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mgnet3d as mg
+from mgnet3d import cli
 from mgnet3d.cli import main
 
 from helpers import count_worker_handoffs
@@ -290,6 +291,33 @@ class TestErrors:
         code, _, err = run(capsys, "params", "--config", str(cfg))
         assert code == 2
         assert "not UTF-8" in err
+
+    def test_unreadable_config_exit_2(self, capsys, tmp_path):
+        # A directory cannot be read as a file, whoever runs the test.
+        code, out, err = run(capsys, "params", "--config", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot read config file {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("error,expected", [
+        (mg.ConfigError, 2),
+        (mg.ArgumentError, 2),
+        (mg.StateError, 2),
+        (mg.ShapeError, 3),
+        (mg.FormatError, 3),
+        (mg.DataError, 3),
+        (mg.DivergenceError, 4),
+        (OSError, 3),
+    ])  # fmt: skip
+    def test_error_class_sets_exit_code(self, capsys, monkeypatch, error, expected):
+        def failing_command(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_params", failing_command)
+        code, out, err = run(capsys, "params")
+        assert code == expected
+        assert out == ""
+        assert err == "error: boom\n"
 
     def test_non_utf8_manifest_exit_3(self, capsys, tmp_path, dataset):
         bad = tmp_path / "manifest.csv"
