@@ -57,6 +57,13 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected a positive integer, got {value}")
+    return value
+
+
 def path_text(text: str) -> str:
     """A file or directory name; the system calls refuse one with a NUL byte."""
     if "\0" in text:
@@ -78,7 +85,7 @@ _PROTOCOL_KEYS = {
     "out": (path_text, None, "output directory"),
     "k": (int, 10, "number of folds"),
     "fold": (int, None, "fold index"),
-    "workers": (int, 1, "parallel fold workers"),
+    "workers": (positive_int, 1, "parallel fold workers"),
 }
 
 
@@ -191,10 +198,10 @@ def cmd_synth(args) -> int:
 def cmd_split(args) -> int:
     settings = _resolve(args)
     manifest = load_manifest(_require(settings, "manifest"), resolve_geometry=False)
+    assignment = stratified_group_kfold(manifest, settings["k"], settings["seed_split"])
     out_dir = Path(_require(settings, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     print(f"seed_split={settings['seed_split']}")
-    assignment = stratified_group_kfold(manifest, settings["k"], settings["seed_split"])
     folds_path = out_dir / "folds.csv"
     assignment.save(folds_path)
     print(f"folds={folds_path}")
@@ -211,14 +218,13 @@ def cmd_train(args) -> int:
     manifest = load_manifest(_require(settings, "manifest"))
     assignment = FoldAssignment.load(_require(settings, "folds"))
     fold = int(_require(settings, "fold"))
-    out_dir = Path(_require(settings, "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    train_records, eval_records = assignment.split_records(manifest, fold)
     model_cfg = _config(MgNetConfig, settings, "seed_model")
     train_cfg = _config(TrainConfig, settings, "seed_train")
+    out_dir = Path(_require(settings, "out"))
+    out_dir.mkdir(parents=True, exist_ok=True)
     print(f"seed_model={settings['seed_model']}")
     print(f"seed_train={settings['seed_train']}")
-
-    train_records, eval_records = assignment.split_records(manifest, fold)
 
     def on_epoch(stats) -> None:
         print(stats.line())
@@ -293,11 +299,14 @@ def cmd_params(args) -> int:
 def cmd_cv(args) -> int:
     settings = _resolve(args)
     manifest = load_manifest(_require(settings, "manifest"))
+    # A fold count the dataset cannot split exits before any directory or
+    # output; cross_validate makes the same split again.
+    stratified_group_kfold(manifest, settings["k"], settings["seed_split"])
+    model_cfg = _config(MgNetConfig, settings, "seed_model")
+    train_cfg = _config(TrainConfig, settings, "seed_train")
     out = settings.get("out")
     if out:
         Path(out).mkdir(parents=True, exist_ok=True)
-    model_cfg = _config(MgNetConfig, settings, "seed_model")
-    train_cfg = _config(TrainConfig, settings, "seed_train")
     seed_lines = [
         f"seed_model={settings['seed_model']}",
         f"seed_train={settings['seed_train']}",

@@ -130,6 +130,11 @@ def backward(loss: Tensor) -> None:
     Intermediate tensors and the root end with ``grad`` None: each one's
     gradient is dropped as soon as its producer has consumed it. A tape
     runs once: backward consumes it.
+
+    When backward starts, every tensor the tape recorded except the root
+    has its ``data`` released (set to None); only the arrays an adjoint
+    captured stay alive. Read recorded values before calling backward.
+    Leaves and the root keep theirs.
     """
     tape = loss._tape
     if tape is None:
@@ -137,6 +142,10 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ArgumentError(f"backward root must be a scalar, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
+    # Each adjoint holds the arrays it reads; the tape lets go of the rest.
+    for op in tape.ops:
+        if op.out is not loss:
+            op.out.data = None
     # The walk pops each op off the tape, so its adjoint closure and the
     # arrays it saved are freed before the next adjoint runs, and its output
     # lets go of the tape (output -> tape -> op -> output is a cycle). An op
@@ -168,19 +177,29 @@ def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
 
     A first contribution never becomes ``t.grad`` as handed in (an adjoint
     may pass one array to several inputs), and adding +0 turns a -0 into
-    +0, as a zero start would. ``owned`` says ``g`` is a fresh array of
-    t's shape and dtype that nothing else holds: it is then made +0 in
-    place and kept, instead of copied.
+    +0, as a zero start would. ``g`` has t's shape and dtype, so a first
+    contribution reads neither from ``t.data``, which backward may have
+    released. ``owned`` says ``g`` is a fresh array that nothing else
+    holds: it is then made +0 in place and kept, instead of copied.
     """
     if t.grad is None:
-        zero = t.data.dtype.type(0)
+        zero = g.dtype.type(0)
         if owned:
             g += zero
             t.grad = g
         else:
-            t.grad = np.add(np.broadcast_to(g, t.data.shape), zero, dtype=t.data.dtype)
+            t.grad = np.add(g, zero)
     else:
         t.grad += g
+
+
+def _pad(arr: np.ndarray, widths: Sequence[int]) -> np.ndarray:
+    """``arr`` inside a border of zeros ``widths[i]`` wide on both sides of
+    axis i: the array np.pad returns, without its per-call Python overhead.
+    """
+    out = np.zeros([n + 2 * p for n, p in zip(arr.shape, widths)], dtype=arr.dtype)
+    out[tuple(slice(p, p + n) for n, p in zip(arr.shape, widths))] = arr
+    return out
 
 
 # Target width, in output columns, of one tile of `_shift_sum`. A tile's
@@ -288,8 +307,7 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
     transfer = kd == 1 and not padding
     coarse = (slice(None),) + (slice(None, None, stride),) * 3
     view, step = (x.data[coarse], 1) if transfer else (x.data, stride)
-    pad = ((padding, padding),) * 3
-    src = np.pad(view, ((0, 0),) + pad)
+    src = _pad(view, (0, padding, padding, padding))
     sd, sh, sw = src.shape[1:]
     full = (sd - kd + 1, sh - kh + 1, sw - kw + 1)
     # Output voxel (i, j, l) sits at flat index q = i*sh*sw + j*sw + l of a
@@ -317,10 +335,10 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
     def kernel_grad(g: np.ndarray) -> np.ndarray:
         # Per tap, gk = g [c_out, oD*oH*oW] @ window [oD*oH*oW, c_in]. The
         # windows come from a channels-last copy of src, so a copy moves
-        # whole c_in rows; it is rebuilt here from view, which the tape holds
-        # anyway, instead of keeping src alive until backward. Each GEMM's
+        # whole c_in rows; it is rebuilt here from view, which this adjoint
+        # keeps anyway, instead of keeping src alive until backward. Each GEMM's
         # operands are those of a per-tap tensordot, and so is its rounding.
-        src_cl = np.pad(view.transpose(1, 2, 3, 0), pad + ((0, 0),))
+        src_cl = _pad(view.transpose(1, 2, 3, 0), (padding, padding, padding, 0))
         # With one output row BLAS runs a matrix-vector product and splits
         # its D*H*W sum across threads; a zero second row keeps it the GEMM
         # of wider kernels, whose sums match at 1 and 2 BLAS threads up to
@@ -383,7 +401,7 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
                 # A grid transfer read a strided subset of x: add into those
                 # voxels, not through a zero-filled buffer of the fine grid.
                 if x.grad is None:
-                    x.grad = np.zeros_like(x.data)
+                    x.grad = np.zeros((c_in, d, h, w), dtype)
                 x.grad[coarse] += gsrc
             else:
                 _accumulate(x, gsrc)
@@ -394,11 +412,16 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
 
 
 def relu(x: Tensor) -> Tensor:
-    """Elementwise max(x, 0); the adjoint passes gradient only where x > 0."""
-    out = Tensor(np.maximum(x.data, 0), dtype=x.data.dtype)
+    """Elementwise max(x, 0); the adjoint passes gradient only where x > 0.
+
+    The adjoint masks by the output: max(x, 0) > 0 exactly where x > 0,
+    for -0 and NaN too, and the output is what the next op keeps anyway.
+    """
+    y = np.maximum(x.data, 0)
+    out = Tensor(y, dtype=x.data.dtype)
 
     def adjoint(g: np.ndarray) -> None:
-        _accumulate(x, g * (x.data > 0), owned=True)
+        _accumulate(x, g * (y > 0), owned=True)
 
     return _attach(out, (x,), adjoint)
 
@@ -436,21 +459,30 @@ def scale(x: Tensor, factor: float) -> Tensor:
     out = Tensor(x.data * factor, dtype=x.data.dtype)
 
     def adjoint(g: np.ndarray) -> None:
-        _accumulate(x, g * factor)
+        # numpy < 2 promotes a 0-d float32 times a Python float to float64.
+        _accumulate(x, np.asarray(g * factor, dtype=g.dtype))
 
     return _attach(out, (x,), adjoint)
 
 
 def _box_sum(arr: np.ndarray) -> np.ndarray:
-    """Sum of the 3x3x3 neighborhood around each voxel, zeros outside bounds."""
-    _, d, h, w = arr.shape
-    ap = np.pad(arr, ((0, 0), (1, 1), (1, 1), (1, 1)))
-    out = np.zeros_like(arr)
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                out += ap[:, a : a + d, b : b + h, c : c + w]
-    return out
+    """Sum of the 3x3x3 neighborhood around each voxel, zeros outside bounds.
+
+    The flat layout of conv3d: on the padded map flattened per channel,
+    neighbor (a, b, c) of every voxel is one contiguous window at shift
+    a*Hp*Wp + b*Wp + c. The windows are added in (a, b, c) order, and +0
+    is added at the crop, so the sums are those of a loop from zeros.
+    """
+    ch, d, h, w = arr.shape
+    hp, wp = h + 2, w + 2
+    flat = _pad(arr, (0, 1, 1, 1)).reshape(ch, -1)
+    n = (d - 1) * hp * wp + (h - 1) * wp + w
+    shifts = [a * hp * wp + b * wp + c for a in range(3) for b in range(3) for c in range(3)]
+    acc = np.empty((ch, d * hp * wp), dtype=arr.dtype)
+    np.copyto(acc[:, :n], flat[:, :n])
+    for s in shifts[1:]:
+        acc[:, :n] += flat[:, s : s + n]
+    return acc.reshape(ch, d, hp, wp)[:, :, :h, :w] + arr.dtype.type(0)
 
 
 def avg_pool3d(x: Tensor) -> Tensor:
@@ -476,11 +508,12 @@ def global_avg_pool(x: Tensor) -> Tensor:
     """Per-channel mean over all spatial positions: [c,D,H,W] -> [c]."""
     if x.ndim != 4:
         raise ShapeError(f"global_avg_pool input must be [c,D,H,W], got shape {x.shape}")
+    shape = x.shape
     n = x.data[0].size
     out = Tensor(x.data.mean(axis=(1, 2, 3)), dtype=x.data.dtype)
 
     def adjoint(g: np.ndarray) -> None:
-        _accumulate(x, np.broadcast_to((g / n)[:, None, None, None], x.data.shape))
+        _accumulate(x, np.broadcast_to((g / n)[:, None, None, None], shape))
 
     return _attach(out, (x,), adjoint)
 
@@ -496,13 +529,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"linear extents disagree: x {x.shape}, W {weight.shape}, b {bias.shape}"
         )
-    out = Tensor(weight.data @ x.data + bias.data, dtype=x.data.dtype)
+    xv, w = x.data, weight.data
+    out = Tensor(w @ xv + bias.data, dtype=xv.dtype)
 
     def adjoint(g: np.ndarray) -> None:
         if weight.requires_grad:
-            _accumulate(weight, np.outer(g, x.data))
+            _accumulate(weight, np.outer(g, xv))
         if x.requires_grad:
-            _accumulate(x, weight.data.T @ g)
+            _accumulate(x, w.T @ g)
         if bias.requires_grad:
             _accumulate(bias, g)
 

@@ -30,10 +30,11 @@ from mgnet3d.tensor import _accumulate, _attach
 
 def reduce_sum(x: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor: a loss probe for gradient checks."""
+    shape = x.shape
     out = Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype), dtype=x.data.dtype)
 
     def adjoint(g: np.ndarray) -> None:
-        _accumulate(x, np.broadcast_to(g, x.data.shape))
+        _accumulate(x, np.broadcast_to(g, shape))
 
     return _attach(out, (x,), adjoint)
 
@@ -156,6 +157,19 @@ def avg_pool3d_reference(x: np.ndarray) -> np.ndarray:
                         max(zw - 1, 0) : min(zw + 1, w - 1) + 1,
                     ]
                     out[ch, zd, zh, zw] = window.mean()
+    return out
+
+
+def box_sum_reference(arr: np.ndarray) -> np.ndarray:
+    """3x3x3 neighborhood sums as 27 strided adds into zeros, in (a, b, c)
+    order: the float sums avg_pool3d must reproduce bit for bit."""
+    _, d, h, w = arr.shape
+    ap = np.pad(arr, ((0, 0), (1, 1), (1, 1), (1, 1)))
+    out = np.zeros_like(arr)
+    for a in range(3):
+        for b in range(3):
+            for c in range(3):
+                out += ap[:, a : a + d, b : b + h, c : c + w]
     return out
 
 

@@ -340,6 +340,26 @@ class TestErrors:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("argv", [
+        ["split", "--k", "1"],
+        ["train", "--fold", "7"],
+        ["cv", "--k", "2", "--workers", "0"],
+    ])
+    def test_usage_error_exits_before_any_output(self, capsys, tmp_path, dataset, argv):
+        assert main(["split", "--manifest", str(dataset), "--k", "2", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        argv = argv + ["--manifest", str(dataset), "--out", str(out_dir)]
+        if argv[0] == "train":
+            argv += ["--folds", str(tmp_path / "folds.csv")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a flag value the parser refuses
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("argv", [
         ["synth", "--seed-data", "-1"],
         ["split", "--k", "2", "--seed-split", "-1"],
         ["train", "--seed-model", "-1"],

@@ -1,5 +1,7 @@
-"""Smoke runs of the experiment scripts in scripts/, at a tiny size."""
+"""Smoke runs of the experiment scripts in scripts/ and of the benchmark's
+tracer, at a tiny size."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,15 +9,18 @@ from pathlib import Path
 
 import pytest
 
+import mgnet3d as mg
+from mgnet3d.cli import main
+
 REPO = Path(__file__).resolve().parents[1]
 TINY = ["--size", "8", "--subjects-per-class", "3", "--epochs", "1"]
 
 
-def run_script(name, out):
+def run_python(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(REPO / "scripts" / name), "--out", str(out), *TINY],
+        [sys.executable, *map(str, argv)],
         env=env,
         capture_output=True,
         text=True,
@@ -34,9 +39,31 @@ def run_script(name, out):
     ],
 )
 def test_script_writes_reports(tmp_path, script, reports):
-    done = run_script(script, tmp_path)
+    done = run_python(REPO / "scripts" / script, "--out", tmp_path, *TINY)
     assert done.returncode == 0, done.stderr
     for report in reports:
         lines = (tmp_path / report).read_text().splitlines()
         assert "folds=2" in lines
         assert any(line.startswith("mean_accuracy=") for line in lines)
+
+
+def test_tracer_reads_the_tape_of_a_tiny_train(tmp_path):
+    # perfbench/tracing.py sizes each step's tape and times each adjoint
+    # from the tape that record() yields, before backward runs.
+    mg.synth_generate(tmp_path, n_subjects_per_class=3, scans_per_subject=1,
+                      size=8, effect_size=1.0, noise_std=0.1, seed=1)
+    assert main(["split", "--manifest", str(tmp_path / "manifest.csv"), "--k", "2",
+                 "--out", str(tmp_path)]) == 0
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("num_grids=2\nsmoothing_iters=1\nfeature_channels=4\ndata_channels=4\n"
+                   "batch_size=2\nepochs=1\nlog_every=0\n")
+    spans_path = tmp_path / "spans.json"
+    done = run_python(REPO / "perfbench" / "tracing.py", spans_path, "--", "train",
+                      "--manifest", tmp_path / "manifest.csv", "--folds", tmp_path / "folds.csv",
+                      "--fold", "0", "--config", cfg, "--out", tmp_path / "run")
+    assert done.returncode == 0, done.stderr
+    spans = json.loads(spans_path.read_text())["spans"]
+    steps = [attrs for name, _, _, _, attrs in spans if name == "training.step"]
+    assert steps and all(step["tape_bytes"] > 0 for step in steps)
+    assert any(name == "tensor.conv3d" and attrs.get("dir") == "bwd"
+               for name, _, _, _, attrs in spans)

@@ -21,6 +21,7 @@ from mgnet3d import ArgumentError, ShapeError, StateError, Tensor
 
 from helpers import (
     avg_pool3d_reference,
+    box_sum_reference,
     conv3d_reference,
     conv3d_taps_reference,
     count_worker_handoffs,
@@ -167,9 +168,11 @@ class TestConv3dFloat32Rounding:
         with mg.record():
             y = mg.conv3d(xt, kt, stride=stride, padding=padding)
             loss = weighted_sum(y, g)
-        mg.backward(loss)
-        assert y.dtype == xt.grad.dtype == kt.grad.dtype == np.float32
+        # Read y before backward, which releases it.
+        assert y.dtype == np.float32
         assert np.array_equal(y.data, want_out)
+        mg.backward(loss)
+        assert xt.grad.dtype == kt.grad.dtype == np.float32
         assert np.array_equal(xt.grad, earlier + want_gx)
         assert np.array_equal(kt.grad, want_gk)
 
@@ -389,6 +392,22 @@ class TestAvgPool:
         got = mg.avg_pool3d(t(x)).data.astype(np.float64)
         assert np.abs(got - avg_pool3d_reference(x)).max() < 1e-6
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 2, 3, 4), (3, 5, 9, 7), (16, 8, 8, 8),
+                                       (2, 16, 16, 16)])
+    def test_bitwise_equal_to_strided_box_sum(self, rng, shape):
+        x = rng.normal(size=shape).astype(np.float32)
+        x.flat[::5] = -0.0
+        x.flat[::7] = 1e-40  # subnormal
+        g = rng.normal(size=shape).astype(np.float32)
+        counts = box_sum_reference(np.ones((1,) + shape[1:], dtype=np.float32))
+        xt = t(x, requires_grad=True)
+        with mg.record():
+            y = mg.avg_pool3d(xt)
+            loss = weighted_sum(y, g)
+        assert y.data.tobytes() == (box_sum_reference(x) / counts).tobytes()
+        mg.backward(loss)
+        assert xt.grad.tobytes() == box_sum_reference(g / counts).tobytes()
+
     def test_bounds_and_linearity(self, rng):
         x = rng.normal(size=(2, 4, 4, 4)).astype(np.float32)
         y = mg.avg_pool3d(t(x)).data
@@ -579,6 +598,42 @@ class TestTapeSemantics:
         assert all(out.grad is None for out in outputs)
         assert off_path.grad is None and h.grad is None and loss.grad is None
 
+    def test_backward_releases_recorded_values(self, rng):
+        # Only the arrays an adjoint captured outlive the start of backward;
+        # leaves and the root keep their values.
+        x = Tensor(rng.normal(size=(2, 4, 4, 4)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.normal(size=(2, 2, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 2)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(2, dtype=np.float32))
+        leaves = [(t, t.data.copy()) for t in (x, k, w, b)]
+        with mg.record() as tape:
+            h = mg.avg_pool3d(mg.relu(mg.conv3d(x, k)))
+            logits = mg.linear(mg.global_avg_pool(h), w, b)
+            loss = mg.softmax_cross_entropy(logits, 1)
+        outputs = [op.out for op in tape.ops]
+        value = loss.item()
+        mg.backward(loss)
+        assert len(outputs) == 6 and outputs[-1] is loss
+        assert all(out.data is None for out in outputs[:-1])
+        assert loss.item() == value
+        for leaf, data in leaves:
+            assert np.array_equal(leaf.data, data)
+        assert all(t.grad is not None for t in (x, k, w))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_output_mask_is_input_mask(self, dtype):
+        # The adjoint masks by relu's output; max(x, 0) > 0 exactly where
+        # x > 0, on signed zeros, infinities, NaN and subnormals too.
+        info = np.finfo(dtype)
+        values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, info.smallest_subnormal,
+                           -info.smallest_subnormal, info.tiny, -info.tiny, 1.0, -1.0], dtype=dtype)
+        assert np.array_equal(np.maximum(values, 0) > 0, values > 0)
+        x = Tensor(values, requires_grad=True, dtype=dtype)
+        with mg.record():
+            loss = weighted_sum(mg.relu(x), np.arange(1, values.size + 1))
+        mg.backward(loss)
+        assert np.array_equal(x.grad, np.arange(1, values.size + 1) * (values > 0))
+
     def test_backward_consumes_the_tape(self, rng):
         # Each op leaves the tape as its adjoint runs, so when the first
         # op's adjoint runs, a later output that only the tape held is
@@ -613,9 +668,10 @@ class TestBackwardMemory:
 
     channels, extent = 8, 24
 
-    def run_chain(self, depth: int) -> tuple[float, int]:
+    def run_chain(self, depth: int) -> tuple[float, int, int]:
         """(memory the forward holds / the tape's output bytes, backward's
-        peak above what the forward left)."""
+        peak above what the forward left, memory the graph holds when the
+        first adjoint runs)."""
         rng = np.random.default_rng(5)
         c, n = self.channels, self.extent
         tracemalloc.start()
@@ -630,6 +686,14 @@ class TestBackwardMemory:
                 loss = reduce_sum(h)
             held = tracemalloc.get_traced_memory()[0] - before
             out_bytes = sum(op.out.data.nbytes for op in tape.ops)
+            first = tape.ops[-1]
+            at_first = []
+
+            def probe(g, adjoint=first.adjoint):
+                at_first.append(tracemalloc.get_traced_memory()[0] - before)
+                adjoint(g)
+
+            tape.ops[-1] = first._replace(adjoint=probe)
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             mg.backward(loss)
@@ -637,17 +701,25 @@ class TestBackwardMemory:
         finally:
             tracemalloc.stop()
         assert x.grad is not None and all(k.grad is not None for k in kernels)
-        return held / out_bytes, extra
+        return held / out_bytes, extra, at_first[0]
 
     def test_tape_holds_its_outputs_and_no_padded_copies(self):
-        ratio, _ = self.run_chain(12)
+        ratio, _, _ = self.run_chain(12)
         assert ratio <= 1.1
 
     def test_backward_peak_does_not_grow_with_depth(self):
         activation = 4 * self.channels * self.extent**3
-        _, shallow = self.run_chain(3)
-        _, deep = self.run_chain(12)
+        _, shallow, _ = self.run_chain(3)
+        _, deep, _ = self.run_chain(12)
         assert deep - shallow <= activation, (shallow / activation, deep / activation)
+
+    def test_backward_keeps_only_what_adjoints_read(self):
+        # When backward starts, each conv output is released: relu's adjoint
+        # masks by relu's output, which the next conv's adjoint reads too.
+        # So one activation per layer stays, not two.
+        depth, activation = 12, 4 * self.channels * self.extent**3
+        _, _, held = self.run_chain(depth)
+        assert held <= (depth + 1.5) * activation, held / activation
 
 
 class TestConv3dMemory:
