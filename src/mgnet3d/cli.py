@@ -37,7 +37,7 @@ from .model import (
     parse_key_values,
     save_checkpoint,
 )
-from .training import TrainConfig, _float_repr, cross_validate, evaluate, train
+from .training import EpochStats, TrainConfig, cross_validate, evaluate, train
 
 __all__ = ["main", "entrypoint", "REFERENCE_MGNET3D_PARAMS", "REFERENCE_RESNET3D_PARAMS"]
 
@@ -146,6 +146,18 @@ def _require(settings: dict, key: str) -> object:
     return settings[key]
 
 
+def _float_repr(v: float) -> str:
+    return repr(float(v))
+
+
+def epoch_line(stats: EpochStats) -> str:
+    parts = [f"epoch={stats.epoch}", f"loss={_float_repr(stats.loss)}"]
+    if stats.metrics is not None:
+        parts.append(f"acc={_float_repr(stats.metrics.accuracy)}")
+        parts.append(f"auc={_float_repr(stats.metrics.auc)}")
+    return " ".join(parts)
+
+
 def metrics_lines(m: EvalMetrics) -> list[str]:
     values = ((f.name, getattr(m, f.name)) for f in fields(m))
     return [f"{name}={_float_repr(v) if isinstance(v, float) else v}" for name, v in values]
@@ -227,7 +239,7 @@ def cmd_train(args) -> int:
     print(f"seed_train={settings['seed_train']}")
 
     def on_epoch(stats) -> None:
-        print(stats.line())
+        print(epoch_line(stats))
         print(f"time={stats.wall_seconds:.3f} epoch={stats.epoch}")
 
     t0 = time.perf_counter()
@@ -242,7 +254,7 @@ def cmd_train(args) -> int:
     checkpoint_path = out_dir / "checkpoint.mgn3"
     save_checkpoint(params, checkpoint_path)
     history_path = out_dir / "history.log"
-    _write_lines(history_path, [e.line() for e in history])
+    _write_lines(history_path, [epoch_line(e) for e in history])
 
     summary_lines = [
         f"fold={fold}",

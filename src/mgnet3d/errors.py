@@ -46,8 +46,3 @@ class DivergenceError(MgnetError, ArithmeticError):
     """Training produced a non-finite loss, or evaluation a non-finite logit."""
 
     exit_code = 4
-
-    def __init__(self, message: str, epoch: int | None = None, batch: int | None = None):
-        super().__init__(message)
-        self.epoch = epoch
-        self.batch = batch

@@ -60,30 +60,36 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._tape: Tape | None = None
 
+    def _value(self) -> np.ndarray:
+        if self.data is None:
+            raise StateError("backward released this tensor's value; read it before calling backward")
+        return self.data
+
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.data.shape
+        return self._value().shape
 
     @property
     def ndim(self) -> int:
-        return self.data.ndim
+        return self._value().ndim
 
     @property
     def size(self) -> int:
-        return self.data.size
+        return self._value().size
 
     @property
     def dtype(self) -> np.dtype:
-        return self.data.dtype
+        return self._value().dtype
 
     def item(self) -> float:
-        if self.data.size != 1:
+        if self.size != 1:
             raise ArgumentError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(())[()])
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
+        value = "released" if self.data is None else f"shape={self.shape}, dtype={self.dtype}"
+        return f"Tensor({value}{flag})"
 
 
 class _TapeOp(NamedTuple):
@@ -132,9 +138,10 @@ def backward(loss: Tensor) -> None:
     runs once: backward consumes it.
 
     When backward starts, every tensor the tape recorded except the root
-    has its ``data`` released (set to None); only the arrays an adjoint
-    captured stay alive. Read recorded values before calling backward.
-    Leaves and the root keep theirs.
+    has its ``data`` released (set to None, and its shape, dtype and item()
+    raise StateError); only the arrays an adjoint captured stay alive.
+    Read recorded values before calling backward. Leaves and the root keep
+    theirs.
     """
     tape = loss._tape
     if tape is None:
@@ -163,7 +170,10 @@ def backward(loss: Tensor) -> None:
                     t.grad = np.zeros_like(t.data)
 
 
-def _attach(out: Tensor, inputs: Sequence[Tensor], adjoint: Callable[[np.ndarray], None]) -> Tensor:
+def _attach(value, inputs: Sequence[Tensor], adjoint: Callable[[np.ndarray], None]) -> Tensor:
+    """An op's output: ``value`` in its first input's dtype, recorded with
+    ``adjoint`` if a tape is open and an input takes a gradient."""
+    out = Tensor(value, dtype=inputs[0].dtype)
     tape = getattr(_tls, "tape", None)
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
@@ -173,7 +183,7 @@ def _attach(out: Tensor, inputs: Sequence[Tensor], adjoint: Callable[[np.ndarray
 
 
 def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
-    """Add the contribution ``g`` to ``t.grad``.
+    """Add the contribution ``g`` to ``t.grad``, if ``t`` takes a gradient.
 
     A first contribution never becomes ``t.grad`` as handed in (an adjoint
     may pass one array to several inputs), and adding +0 turns a -0 into
@@ -182,6 +192,8 @@ def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     released. ``owned`` says ``g`` is a fresh array that nothing else
     holds: it is then made +0 in place and kept, instead of copied.
     """
+    if not t.requires_grad:
+        return
     if t.grad is None:
         zero = g.dtype.type(0)
         if owned:
@@ -330,7 +342,6 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
     taps = kdata.transpose(2, 3, 4, 0, 1).reshape(len(offsets), c_out, c_in).copy()
     acc = np.empty((c_out, full[0] * sh * sw), dtype=dtype)
     _shift_sum(taps, src.reshape(c_in, -1), shifts, acc[:, :n])
-    result = Tensor(crop(acc) + dtype.type(0), dtype=dtype)
 
     def kernel_grad(g: np.ndarray) -> np.ndarray:
         # Per tap, gk = g [c_out, oD*oH*oW] @ window [oD*oH*oW, c_in]. The
@@ -408,7 +419,7 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
         if pending is not None:
             _accumulate(kernel, pending.result(), owned=True)
 
-    return _attach(result, (x, kernel), adjoint)
+    return _attach(crop(acc) + dtype.type(0), (x, kernel), adjoint)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -418,51 +429,43 @@ def relu(x: Tensor) -> Tensor:
     for -0 and NaN too, and the output is what the next op keeps anyway.
     """
     y = np.maximum(x.data, 0)
-    out = Tensor(y, dtype=x.data.dtype)
 
     def adjoint(g: np.ndarray) -> None:
         _accumulate(x, g * (y > 0), owned=True)
 
-    return _attach(out, (x,), adjoint)
+    return _attach(y, (x,), adjoint)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add needs matching shapes, got {a.shape} and {b.shape}")
-    out = Tensor(a.data + b.data, dtype=a.data.dtype)
 
     def adjoint(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, g)
+        _accumulate(a, g)
+        _accumulate(b, g)
 
-    return _attach(out, (a, b), adjoint)
+    return _attach(a.data + b.data, (a, b), adjoint)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"sub needs matching shapes, got {a.shape} and {b.shape}")
-    out = Tensor(a.data - b.data, dtype=a.data.dtype)
 
     def adjoint(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, -g)
+        _accumulate(a, g)
+        _accumulate(b, -g)
 
-    return _attach(out, (a, b), adjoint)
+    return _attach(a.data - b.data, (a, b), adjoint)
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
     """Multiply by a plain scalar constant."""
-    out = Tensor(x.data * factor, dtype=x.data.dtype)
 
     def adjoint(g: np.ndarray) -> None:
         # numpy < 2 promotes a 0-d float32 times a Python float to float64.
         _accumulate(x, np.asarray(g * factor, dtype=g.dtype))
 
-    return _attach(out, (x,), adjoint)
+    return _attach(x.data * factor, (x,), adjoint)
 
 
 def _box_sum(arr: np.ndarray) -> np.ndarray:
@@ -494,14 +497,13 @@ def avg_pool3d(x: Tensor) -> Tensor:
     if x.ndim != 4:
         raise ShapeError(f"avg_pool3d input must be [c,D,H,W], got shape {x.shape}")
     counts = _box_sum(np.ones((1,) + x.shape[1:], x.data.dtype))
-    out = Tensor(_box_sum(x.data) / counts, dtype=x.data.dtype)
 
     def adjoint(g: np.ndarray) -> None:
         # Window membership is symmetric, so the adjoint is the box sum of
         # the count-scaled gradient.
         _accumulate(x, _box_sum(g / counts))
 
-    return _attach(out, (x,), adjoint)
+    return _attach(_box_sum(x.data) / counts, (x,), adjoint)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -510,37 +512,27 @@ def global_avg_pool(x: Tensor) -> Tensor:
         raise ShapeError(f"global_avg_pool input must be [c,D,H,W], got shape {x.shape}")
     shape = x.shape
     n = x.data[0].size
-    out = Tensor(x.data.mean(axis=(1, 2, 3)), dtype=x.data.dtype)
 
     def adjoint(g: np.ndarray) -> None:
         _accumulate(x, np.broadcast_to((g / n)[:, None, None, None], shape))
 
-    return _attach(out, (x,), adjoint)
+    return _attach(x.data.mean(axis=(1, 2, 3)), (x,), adjoint)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map y = W x + b for a feature vector x."""
-    if x.ndim != 1 or weight.ndim != 2 or bias.ndim != 1:
+    if weight.ndim != 2 or x.shape != weight.shape[1:] or bias.shape != weight.shape[:1]:
         raise ShapeError(
             f"linear expects x [c], W [k,c], b [k]; got {x.shape}, {weight.shape}, {bias.shape}"
         )
-    k, c = weight.shape
-    if x.shape != (c,) or bias.shape != (k,):
-        raise ShapeError(
-            f"linear extents disagree: x {x.shape}, W {weight.shape}, b {bias.shape}"
-        )
     xv, w = x.data, weight.data
-    out = Tensor(w @ xv + bias.data, dtype=xv.dtype)
 
     def adjoint(g: np.ndarray) -> None:
-        if weight.requires_grad:
-            _accumulate(weight, np.outer(g, xv))
-        if x.requires_grad:
-            _accumulate(x, w.T @ g)
-        if bias.requires_grad:
-            _accumulate(bias, g)
+        _accumulate(weight, np.outer(g, xv))
+        _accumulate(x, w.T @ g)
+        _accumulate(bias, g)
 
-    return _attach(out, (x, weight, bias), adjoint)
+    return _attach(w @ xv + bias.data, (x, weight, bias), adjoint)
 
 
 def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
@@ -558,18 +550,21 @@ def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
     z = logits.data - logits.data.max()
     ez = np.exp(z)
     total = ez.sum()
-    loss = np.log(total) - z[label]
-    out = Tensor(np.asarray(loss, dtype=logits.data.dtype), dtype=logits.data.dtype)
 
     def adjoint(g: np.ndarray) -> None:
         p = ez / total
         p[label] -= 1.0
         _accumulate(logits, g * p)
 
-    return _attach(out, (logits,), adjoint)
+    return _attach(np.log(total) - z[label], (logits,), adjoint)
 
 
-def channel_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
+# Added to each channel's variance in channel_norm, so a constant channel
+# maps to zeros instead of dividing by zero.
+_NORM_EPS = 1e-5
+
+
+def channel_norm(x: Tensor) -> Tensor:
     """Standardize each channel over its spatial extent (zero mean, unit variance).
 
     Per-sample statistics; this is the optional normalization stage that
@@ -580,16 +575,15 @@ def channel_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     mu = x.data.mean(axis=(1, 2, 3), keepdims=True)
     centered = x.data - mu
     var = np.mean(centered * centered, axis=(1, 2, 3), keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _NORM_EPS)
     y = centered * inv
-    out = Tensor(y, dtype=x.data.dtype)
 
     def adjoint(g: np.ndarray) -> None:
         gm = g.mean(axis=(1, 2, 3), keepdims=True)
         gy = np.mean(g * y, axis=(1, 2, 3), keepdims=True)
         _accumulate(x, inv * (g - gm - y * gy))
 
-    return _attach(out, (x,), adjoint)
+    return _attach(y, (x,), adjoint)
 
 
 def mean_scalars(terms: Sequence[Tensor]) -> Tensor:

@@ -62,23 +62,12 @@ class TrainConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
-def _float_repr(v: float) -> str:
-    return repr(float(v))
-
-
 @dataclass
 class EpochStats:
     epoch: int
     loss: float
     metrics: EvalMetrics | None
     wall_seconds: float
-
-    def line(self) -> str:
-        parts = [f"epoch={self.epoch}", f"loss={_float_repr(self.loss)}"]
-        if self.metrics is not None:
-            parts.append(f"acc={_float_repr(self.metrics.accuracy)}")
-            parts.append(f"auc={_float_repr(self.metrics.auc)}")
-        return " ".join(parts)
 
 
 def _load_normalized(
@@ -145,11 +134,7 @@ def train(
                     loss = mean_scalars(losses)
                 value = loss.item()
                 if not np.isfinite(value):
-                    raise DivergenceError(
-                        f"non-finite loss {value} at epoch {epoch}, batch {batch_index}",
-                        epoch=epoch,
-                        batch=batch_index,
-                    )
+                    raise DivergenceError(f"non-finite loss {value} at epoch {epoch}, batch {batch_index}")
                 backward(loss)
                 sgd_step(params.tensors(), train_cfg.learning_rate)
             batch_losses.append(value)

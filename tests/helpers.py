@@ -31,12 +31,11 @@ from mgnet3d.tensor import _accumulate, _attach
 def reduce_sum(x: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor: a loss probe for gradient checks."""
     shape = x.shape
-    out = Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype), dtype=x.data.dtype)
 
     def adjoint(g: np.ndarray) -> None:
         _accumulate(x, np.broadcast_to(g, shape))
 
-    return _attach(out, (x,), adjoint)
+    return _attach(x.data.sum(), (x,), adjoint)
 
 
 def weighted_sum(x: Tensor, weights: np.ndarray) -> Tensor:
@@ -45,12 +44,11 @@ def weighted_sum(x: Tensor, weights: np.ndarray) -> Tensor:
     w = np.asarray(weights, dtype=x.data.dtype)
     if w.shape != x.data.shape:
         raise ShapeError(f"weights shape {w.shape} must match tensor shape {x.shape}")
-    out = Tensor(np.asarray((x.data * w).sum(), dtype=x.data.dtype), dtype=x.data.dtype)
 
     def adjoint(g: np.ndarray) -> None:
         _accumulate(x, g * w)
 
-    return _attach(out, (x,), adjoint)
+    return _attach((x.data * w).sum(), (x,), adjoint)
 
 
 def conv3d_reference(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Smoke runs of the experiment scripts in scripts/ and of the benchmark's
-tracer, at a tiny size."""
+"""Smoke runs of the experiment scripts in scripts/, of the benchmark and
+of its tracer, at a tiny size."""
 
 import json
 import os
@@ -67,3 +67,22 @@ def test_tracer_reads_the_tape_of_a_tiny_train(tmp_path):
     assert steps and all(step["tape_bytes"] > 0 for step in steps)
     assert any(name == "tensor.conv3d" and attrs.get("dir") == "bwd"
                for name, _, _, _, attrs in spans)
+
+
+def test_benchmark_runs_a_workload_correctly(tmp_path):
+    # perfbench/run.py reads src/ and BENCHMARK.json from its working
+    # directory and writes its scratch files there, so it runs in a
+    # directory of links to the checkout.
+    for name in ("src", "BENCHMARK.json"):
+        (tmp_path / name).symlink_to(REPO / name)
+    done = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "run.py"), "--workload", "cv-synth16",
+         "--seed", "1", "--seconds", "1", "--trace", "0"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
