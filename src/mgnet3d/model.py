@@ -229,12 +229,8 @@ def level_shapes(config: MgNetConfig, spatial) -> list[tuple[int, int, int]]:
     return shapes
 
 
-def forward(params: MgNetParams, volume: Tensor, trace: list | None = None) -> Tensor:
-    """Run the full multigrid pass and return class logits.
-
-    When ``trace`` is a list, the spatial shape of the feature map on each
-    grid is appended to it as the pass runs.
-    """
+def forward(params: MgNetParams, volume: Tensor) -> Tensor:
+    """Run the full multigrid pass and return class logits."""
     cfg = params.config
     if volume.ndim != 4:
         raise ShapeError(f"volume must be [c,D,H,W], got shape {volume.shape}")
@@ -264,8 +260,6 @@ def forward(params: MgNetParams, volume: Tensor, trace: list | None = None) -> T
                 u = _activate(v, cfg.use_channel_norm)
             else:
                 u = smooth(u, f, operator, smoother, cfg.use_channel_norm)
-        if trace is not None:
-            trace.append(u.shape[1:])
         if i < cfg.num_grids:
             u, f = restrict(
                 u, f, operator, p[f"level{i}.prolongation"], p[f"level{i}.restriction"],
@@ -298,9 +292,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_iters(text: str) -> int | tuple[int, ...]:
-    values = tuple(int(p) for p in text.split(",") if p)
-    if not values:
-        raise ValueError("no smoothing pass counts")
+    values = tuple(int(p) for p in text.split(","))
     return values[0] if len(values) == 1 else values
 
 

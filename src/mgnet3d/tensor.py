@@ -131,8 +131,9 @@ def backward(loss: Tensor) -> None:
 
     Leaves are the tensors no recorded operation produced: parameters and
     inputs. Gradient buffers accumulate, so a leaf consumed by k operations
-    ends with the sum of k adjoint contributions. Leaves that fed the tape
-    but do not influence the loss end with an explicit zero gradient.
+    ends with the sum of k adjoint contributions. An op whose output got no
+    gradient is off the path to the root and is skipped, so a leaf that only
+    such ops read keeps ``grad`` None.
     Intermediate tensors and the root end with ``grad`` None: each one's
     gradient is dropped as soon as its producer has consumed it. A tape
     runs once: backward consumes it.
@@ -155,19 +156,13 @@ def backward(loss: Tensor) -> None:
             op.out.data = None
     # The walk pops each op off the tape, so its adjoint closure and the
     # arrays it saved are freed before the next adjoint runs, and its output
-    # lets go of the tape (output -> tape -> op -> output is a cycle). An op
-    # whose output got no gradient lies off the path to the root: its leaves
-    # (no op still on the tape produced them) start from zeros.
+    # lets go of the tape (output -> tape -> op -> output is a cycle).
     while tape.ops:
         op = tape.ops.pop()
         op.out._tape = None
         if op.out.grad is not None:
             op.adjoint(op.out.grad)
             op.out.grad = None
-        else:
-            for t in op.inputs:
-                if t.requires_grad and t.grad is None and t._tape is not tape:
-                    t.grad = np.zeros_like(t.data)
 
 
 def _attach(value, inputs: Sequence[Tensor], adjoint: Callable[[np.ndarray], None]) -> Tensor:
@@ -287,8 +282,9 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
 
     Zero padding of width ``padding`` is applied on every spatial face.
     Each output voxel is the exact triple sum over the k**3 neighborhood,
-    with zeros outside bounds. Differentiable with respect to both the
-    input and the kernel.
+    with zeros outside bounds. Stride 2 is the grid transfer only: an
+    unpadded 1x1x1 kernel. Differentiable with respect to both the input
+    and the kernel.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv3d input must be [c,D,H,W], got shape {x.shape}")
@@ -301,6 +297,8 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
         raise ArgumentError(f"conv3d stride must be 1 or 2, got {stride}")
     if padding < 0:
         raise ArgumentError(f"conv3d padding must be >= 0, got {padding}")
+    if stride == 2 and (kd != 1 or padding):
+        raise ArgumentError(f"conv3d stride 2 needs an unpadded 1x1x1 kernel, got k={kd}, padding={padding}")
     c_in, d, h, w = x.shape
     if kc != c_in:
         raise ShapeError(f"kernel expects {kc} input channels, input has {c_in}")
@@ -313,26 +311,22 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
     offsets = [(a, b, c) for a in range(kd) for b in range(kh) for c in range(kw)]
 
     # The engine runs a stride-1 convolution on ``src``, the padded ``view``
-    # of x, and keeps every ``step``-th output. An unpadded 1x1x1 kernel (a
-    # grid transfer) reads only the voxels it outputs, so its view is the
-    # subsampled input, on the coarse grid. Every operand is built from it.
-    transfer = kd == 1 and not padding
+    # of x. A grid transfer reads only the voxels it outputs, so its view is
+    # the subsampled input, on the coarse grid. Every operand is built from it.
     coarse = (slice(None),) + (slice(None, None, stride),) * 3
-    view, step = (x.data[coarse], 1) if transfer else (x.data, stride)
+    view = x.data[coarse]
     src = _pad(view, (0, padding, padding, padding))
     sd, sh, sw = src.shape[1:]
-    full = (sd - kd + 1, sh - kh + 1, sw - kw + 1)
     # Output voxel (i, j, l) sits at flat index q = i*sh*sw + j*sw + l of a
     # buffer laid out on src's H x W plane, and tap (a, b, c) reads src's
     # flat index q + shift. Each tap is then one GEMM on a contiguous window
     # of the flattened map; the window's columns with j or l past the
     # output extent wrap across rows and are cropped away.
-    n = (full[0] - 1) * sh * sw + (full[1] - 1) * sw + full[2]
+    n = (out_sp[0] - 1) * sh * sw + (out_sp[1] - 1) * sw + out_sp[2]
     shifts = [a * sh * sw + b * sw + c for a, b, c in offsets]
 
     def crop(buf: np.ndarray) -> np.ndarray:
-        grid = buf.reshape(buf.shape[0], full[0], sh, sw)
-        return grid[:, ::step, : full[1] : step, : full[2] : step]
+        return buf.reshape(buf.shape[0], out_sp[0], sh, sw)[:, :, : out_sp[1], : out_sp[2]]
 
     # Taps are summed in offsets order, and each tap's product is one GEMM
     # over the input channels: the float32 sums of a per-tap loop over
@@ -340,7 +334,7 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
     # from zeros; adding +0 at the crop turns the -0 a first product can
     # leave into its +0 and changes nothing else.
     taps = kdata.transpose(2, 3, 4, 0, 1).reshape(len(offsets), c_out, c_in).copy()
-    acc = np.empty((c_out, full[0] * sh * sw), dtype=dtype)
+    acc = np.empty((c_out, out_sp[0] * sh * sw), dtype=dtype)
     _shift_sum(taps, src.reshape(c_in, -1), shifts, acc[:, :n])
 
     def kernel_grad(g: np.ndarray) -> np.ndarray:
@@ -358,36 +352,29 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
         if c_out == 1:
             g_rows = np.concatenate([g_rows, np.zeros_like(g_rows)])
         gk = np.empty_like(kdata)
-        # One slab per (b, c) and depth parity p: src's planes p, p + step,
-        # ..., each cut to the rows and columns that taps (., b, c) read. Tap
-        # (a, b, c) with a mod step = p reads the contiguous run of the
-        # slab's rows from plane a // step on, so a 3x3x3 kernel makes 9
-        # copies at stride 1 and 18 at stride 2 instead of 27.
+        # One slab per (b, c): src's planes cut to the rows and columns that
+        # taps (., b, c) read. Tap (a, b, c) reads the contiguous run of the
+        # slab's rows from plane a on, so a 3x3x3 kernel makes 9 copies
+        # instead of 27.
         plane = out_sp[1] * out_sp[2]
-        span = [step * (m - 1) + 1 for m in out_sp]
-        buf = np.empty((len(range(0, src_cl.shape[0], step)),) + out_sp[1:] + (c_in,), dtype=dtype)
+        slab = np.empty((sd,) + out_sp[1:] + (c_in,), dtype=dtype)
+        rows = slab.reshape(-1, c_in)
         for b in range(kh):
             for c in range(kw):
-                for p in range(min(step, kd)):
-                    window = src_cl[p::step, b : b + span[1] : step, c : c + span[2] : step]
-                    slab = buf[: len(window)]
-                    np.copyto(slab, window)
-                    rows = slab.reshape(-1, c_in)
-                    for a in range(p, kd, step):
-                        i = a // step
-                        gk[:, :, a, b, c] = np.dot(g_rows, rows[i * plane : (i + out_sp[0]) * plane])[:c_out]
+                np.copyto(slab, src_cl[:, b : b + out_sp[1], c : c + out_sp[2]])
+                for a in range(kd):
+                    gk[:, :, a, b, c] = np.dot(g_rows, rows[a * plane : (a + out_sp[0]) * plane])[:c_out]
         return gk
 
     def src_grad(g: np.ndarray) -> np.ndarray:
         # A convolution with the transposed taps: src voxel p gets tap t
         # from column p - s_t of g on the flat layout. That layout is put
-        # behind s_max zero columns, with zeros on the columns the crop
-        # drops (wrapped ones, and the odd ones of stride 2; a 1x1x1 kernel
-        # at step 1 keeps them all). Voxel q0 + j of x's own planes, from
-        # q0 on, then gathers column q0 + s_max - s_t + j.
+        # behind s_max zero columns, with zeros on the wrapped columns the
+        # crop drops (a 1x1x1 kernel keeps them all). Voxel q0 + j of x's
+        # own planes, from q0 on, then gathers column q0 + s_max - s_t + j.
         s_max, q0 = shifts[-1], padding * sh * sw
         g_flat = np.zeros((c_out, s_max + sd * sh * sw), dtype=g.dtype)
-        crop(g_flat[:, s_max : s_max + full[0] * sh * sw])[...] = g
+        crop(g_flat[:, s_max : s_max + out_sp[0] * sh * sw])[...] = g
         taps_t = kdata.transpose(2, 3, 4, 1, 0).reshape(len(offsets), c_in, c_out).copy()
         planes = np.empty((c_in, (sd - 2 * padding) * sh * sw), dtype=g.dtype)
         _shift_sum(taps_t, g_flat, [q0 + s_max - s for s in shifts], planes)
@@ -408,7 +395,7 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
                 _accumulate(kernel, kernel_grad(g), owned=True)
         if x.requires_grad:
             gsrc = src_grad(g)
-            if transfer:
+            if stride == 2:
                 # A grid transfer read a strided subset of x: add into those
                 # voxels, not through a zero-filled buffer of the fine grid.
                 if x.grad is None:

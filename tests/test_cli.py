@@ -381,6 +381,15 @@ class TestErrors:
         assert out == ""
         assert f"{cfg}:1: bad value '-1' for key {key!r}" in err
 
+    @pytest.mark.parametrize("value", ["2,", ",2", "1,,2"])
+    def test_empty_smoothing_iters_item_exit_2(self, capsys, tmp_path, value):
+        cfg = tmp_path / "iters.cfg"
+        cfg.write_text(f"num_grids=2\nsmoothing_iters={value}\n")
+        code, out, err = run(capsys, "params", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"{cfg}:2: bad value {value!r} for key 'smoothing_iters'" in err
+
     def test_duplicate_config_key_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "dup.cfg"
         cfg.write_text("num_grids=1\nsmoothing_iters=1\nnum_grids=2\n")

@@ -20,7 +20,7 @@ def away_from_kinks(arr, margin=0.05):
 
 
 class TestOpGradients:
-    @pytest.mark.parametrize("stride,ksize,padding", [(1, 3, 1), (2, 3, 1), (2, 1, 0), (1, 1, 0)])
+    @pytest.mark.parametrize("stride,ksize,padding", [(1, 3, 1), (2, 1, 0), (1, 1, 0)])
     def test_conv3d(self, rng, stride, ksize, padding):
         x = f64_tensor(rng, (2, 4, 5, 4))
         k = f64_tensor(rng, (3, 2, ksize, ksize, ksize), scale=0.5)
@@ -140,15 +140,16 @@ class TestGraphGradients:
         backward(total)
         assert np.array_equal(z.grad, 2.0 * np.ones(4))
 
-    def test_unreachable_parameter_gets_zero_grad(self, rng):
+    def test_unreachable_parameter_gets_no_grad(self, rng):
         x = f64_tensor(rng, (3,))
         orphan = f64_tensor(rng, (3,))
         with record():
             mg.relu(orphan)  # recorded, but not part of the loss
             loss = reduce_sum(mg.relu(x))
         backward(loss)
-        assert orphan.grad is not None
-        assert np.array_equal(orphan.grad, np.zeros(3))
+        assert orphan.grad is None
+        with pytest.raises(mg.StateError):
+            mg.sgd_step([x, orphan], lr=0.1)
 
     def test_end_to_end_tiny_model(self):
         # Central differences are only valid away from ReLU kinks, so the

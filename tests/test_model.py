@@ -223,8 +223,9 @@ class TestForward:
     def test_trace_records_level_shapes(self, rng):
         cfg = tiny_config(num_grids=3, smoothing_iters=(1, 1, 1))
         params = mg.build(cfg)
-        trace = []
-        mg.forward(params, Tensor(rng.normal(size=(1, 9, 7, 5)).astype(np.float32)), trace=trace)
+        with mg.record() as tape:
+            mg.forward(params, Tensor(rng.normal(size=(1, 9, 7, 5)).astype(np.float32)))
+        trace = list(dict.fromkeys(op.out.shape[1:] for op in tape.ops if op.out.ndim == 4))
         assert trace == [(9, 7, 5), (5, 4, 3), (3, 2, 2)]
         assert trace == mg.level_shapes(cfg, (9, 7, 5))
 

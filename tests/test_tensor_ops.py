@@ -61,12 +61,11 @@ class TestConv3d:
 
     def test_stride2_output_shape(self, rng):
         x = t(rng.normal(size=(2, 5, 5, 5)))
-        k = t(rng.normal(size=(4, 2, 3, 3, 3)))
-        y = mg.conv3d(x, k, stride=2, padding=1)
+        k = t(rng.normal(size=(4, 2, 1, 1, 1)))
+        y = mg.conv3d(x, k, stride=2, padding=0)
         assert y.shape == (4, 3, 3, 3)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("ksize,padding", [(3, 1), (1, 0)])
+    @pytest.mark.parametrize("ksize,padding,stride", [(3, 1, 1), (1, 0, 1), (1, 0, 2)])
     def test_matches_reference(self, rng, stride, ksize, padding):
         x = rng.normal(size=(3, 4, 5, 3)).astype(np.float32)
         k = rng.normal(size=(2, 3, ksize, ksize, ksize)).astype(np.float32)
@@ -86,6 +85,14 @@ class TestConv3d:
         with pytest.raises(ArgumentError):
             mg.conv3d(x, k, stride=3)
 
+    @pytest.mark.parametrize("ksize,padding", [(3, 1), (1, 1)])
+    def test_stride2_needs_unpadded_1x1x1_kernel(self, rng, ksize, padding):
+        # Stride 2 is the grid transfer; no other kernel runs at stride 2.
+        x = t(rng.normal(size=(2, 5, 5, 5)))
+        k = t(rng.normal(size=(3, 2) + (ksize,) * 3))
+        with pytest.raises(ArgumentError, match="stride 2"):
+            mg.conv3d(x, k, stride=2, padding=padding)
+
     def test_linearity(self, rng):
         x = rng.normal(size=(2, 4, 4, 4)).astype(np.float32)
         y = rng.normal(size=(2, 4, 4, 4)).astype(np.float32)
@@ -97,12 +104,13 @@ class TestConv3d:
 
     @given(n=st.integers(min_value=1, max_value=24), stride=st.sampled_from([1, 2]))
     def test_shape_law(self, n, stride):
+        # Stride 1 runs the 3x3x3 same conv, stride 2 the grid transfer.
+        ksize, padding = (3, 1) if stride == 1 else (1, 0)
         x = Tensor(np.ones((1, n, 3, 4), dtype=np.float32))
-        k = Tensor(np.ones((1, 1, 3, 3, 3), dtype=np.float32))
-        y = mg.conv3d(x, k, stride=stride, padding=1)
-        assert y.shape[1] == (n + 2 - 3) // stride + 1
-        assert y.shape[2] == (3 + 2 - 3) // stride + 1
-        assert y.shape[3] == (4 + 2 - 3) // stride + 1
+        k = Tensor(np.ones((1, 1) + (ksize,) * 3, dtype=np.float32))
+        y = mg.conv3d(x, k, stride=stride, padding=padding)
+        for got, extent in zip(y.shape[1:], (n, 3, 4)):
+            assert got == (extent + 2 * padding - ksize) // stride + 1
 
     def test_deterministic(self, rng):
         x = rng.normal(size=(4, 6, 6, 6)).astype(np.float32)
@@ -135,12 +143,13 @@ class TestConv3dFloat32Rounding:
             (1, 16, (16, 16, 16), 3, 1, 1),
             (16, 16, (23, 28, 23), 1, 2, 0),
             (16, 16, (5, 7, 3), 1, 2, 0),
-            (3, 4, (5, 6, 7), 3, 2, 1),
-            (3, 4, (5, 6, 7), 1, 2, 1),
+            (3, 4, (5, 6, 7), 3, 1, 1),
+            (3, 4, (5, 6, 7), 1, 2, 0),
             (16, 16, (46, 55, 46), 3, 1, 1),
             (64, 64, (12, 12, 12), 3, 1, 1),
+            # The finest transfer of a 46x55x46 model: four column tiles.
+            (16, 16, (46, 55, 46), 1, 2, 0),
             # Several column tiles of unequal width (see _shift_sum).
-            (16, 16, (23, 28, 23), 3, 2, 1),
             (8, 8, (24, 24, 24), 3, 1, 2),
             (32, 32, (46, 55, 46), 3, 1, 1),
             # The input adjoint's gather starts at x's first plane in the
@@ -580,7 +589,7 @@ class TestTapeSemantics:
 
     def test_gradient_lifetime(self, rng):
         # Leaves keep their gradients, a leaf off the path to the root gets
-        # zeros, and every recorded output (the root included) ends with
+        # none, and every recorded output (the root included) ends with
         # none: each is dropped once its producer has consumed it.
         x = Tensor(rng.normal(size=(2, 4, 4, 4)).astype(np.float32), requires_grad=True)
         k = Tensor(rng.normal(size=(2, 2, 3, 3, 3)).astype(np.float32), requires_grad=True)
@@ -593,7 +602,9 @@ class TestTapeSemantics:
         mg.backward(loss)
         assert x.grad is not None and np.abs(x.grad).max() > 0
         assert k.grad is not None and np.abs(k.grad).max() > 0
-        assert np.array_equal(orphan.grad, np.zeros(3)) and not np.signbit(orphan.grad).any()
+        assert orphan.grad is None
+        with pytest.raises(StateError):
+            mg.sgd_step([x, k, orphan], lr=0.1)
         assert len(outputs) == 4 and tape.ops == []
         assert all(out.grad is None for out in outputs)
         assert off_path.grad is None and h.grad is None and loss.grad is None
