@@ -13,7 +13,8 @@ with fixed seeds and inputs, except wall-clock lines, which always start
 with ``time=``.
 
 Exit codes: 0 on success; on failure, the ``exit_code`` of the
-``mgnet3d.errors`` class raised, or 3 for an operating-system error.
+``mgnet3d.errors`` class raised, or 3 for an operating-system error or an
+allocation the system refuses (``MemoryError``).
 """
 
 from __future__ import annotations
@@ -397,8 +398,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MgnetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (MgnetError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, MgnetError) else EXIT_OS_ERROR
 
 

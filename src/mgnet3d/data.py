@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError, DataError, FormatError
-from .tensor import Tensor
 
 __all__ = [
     "VolumeRecord",
@@ -70,9 +69,9 @@ def atomic_write(path):
         raise
 
 
-def save_volume(path, volume) -> None:
+def save_volume(path, volume: np.ndarray) -> None:
     """Write a [channels, D, H, W] volume in the VOL3 format."""
-    arr = np.asarray(getattr(volume, "data", volume), dtype=np.float32)
+    arr = np.asarray(volume, dtype=np.float32)
     if arr.ndim != 4:
         raise ArgumentError(f"volume must be [c,D,H,W], got shape {arr.shape}")
     with open(path, "wb") as fh:
@@ -103,8 +102,8 @@ def read_volume_header(path) -> tuple[int, int, int, int]:
         return _parse_volume_header(fh.read(24), path)
 
 
-def load_volume(path) -> Tensor:
-    """Read a VOL3 file into a float32 tensor, validating the payload."""
+def load_volume(path) -> np.ndarray:
+    """Read a VOL3 file into a float32 array, validating the payload."""
     raw = Path(path).read_bytes()
     shape = _parse_volume_header(raw, path)
     count = math.prod(shape)  # Python ints: a u32 extent product can overflow int64
@@ -116,20 +115,24 @@ def load_volume(path) -> Tensor:
     data = np.frombuffer(raw, dtype="<f4", offset=24).reshape(shape).copy()
     if not np.isfinite(data).all():
         raise DataError(f"{path}: volume contains non-finite voxel values")
-    return Tensor(data)
+    return data
 
 
-def normalize(volume) -> Tensor:
+def normalize(volume: np.ndarray) -> np.ndarray:
     """Whole-volume z-score: (x - mean) / std over every voxel.
 
     Statistics are computed in float64; the result stays float32.
     """
-    arr = np.asarray(getattr(volume, "data", volume), dtype=np.float32)
+    arr = np.asarray(volume, dtype=np.float32)
     mean = float(arr.mean(dtype=np.float64))
     std = float(arr.std(dtype=np.float64))
     if std == 0.0:
         raise DataError("cannot normalize a constant volume")
-    return Tensor((arr - mean) / std)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = (arr - mean) / std
+    if not np.isfinite(out).all():
+        raise DataError(f"volume z-score is not finite in float32 (mean {mean:g}, std {std:g})")
+    return out
 
 
 @dataclass(frozen=True)

@@ -70,22 +70,17 @@ class EpochStats:
     wall_seconds: float
 
 
-def _load_normalized(
-    record_: VolumeRecord,
-    geometry: tuple[int, int, int, int] | None,
-    cache: dict[str, np.ndarray],
-) -> Tensor:
-    arr = cache.get(record_.volume_path)
-    if arr is None:
-        vol = load_volume(record_.volume_path)
+def _load_scans(records: Sequence[VolumeRecord], geometry: tuple[int, int, int, int] | None) -> list[Tensor]:
+    """Each record's volume, geometry-checked and z-scored, in record order."""
+    scans = []
+    for r in records:
+        vol = load_volume(r.volume_path)
         if geometry is not None and vol.shape != tuple(geometry):
             raise ShapeError(
-                f"volume {record_.volume_path} has geometry {vol.shape}, "
-                f"manifest declares {tuple(geometry)}"
+                f"volume {r.volume_path} has geometry {vol.shape}, manifest declares {tuple(geometry)}"
             )
-        arr = normalize(vol).data
-        cache[record_.volume_path] = arr
-    return Tensor(arr)
+        scans.append(Tensor(normalize(vol)))
+    return scans
 
 
 def train(
@@ -100,7 +95,8 @@ def train(
 
     Each batch runs every sample's forward pass, averages the
     cross-entropy losses, backpropagates, and applies one SGD step. The
-    per-epoch loss is the mean over batch losses.
+    per-epoch loss is the mean over batch losses. Every training scan is
+    loaded and z-scored once, before the first step.
     """
     train_cfg.validate()
     if not train_records:
@@ -112,24 +108,22 @@ def train(
         raise ArgumentError(f"training requires a binary head, model has {model_config.num_classes} classes")
 
     params = build(model_config)
+    scans = _load_scans(train_records, geometry)
     rng = np.random.default_rng(train_cfg.seed)
-    cache: dict[str, np.ndarray] = {}
     history: list[EpochStats] = []
     for epoch in range(train_cfg.epochs):
         t0 = time.perf_counter()
         order = rng.permutation(len(train_records))
         batch_losses = []
         for batch_index, start in enumerate(range(0, len(order), train_cfg.batch_size)):
-            batch = [train_records[i] for i in order[start : start + train_cfg.batch_size]]
+            batch = order[start : start + train_cfg.batch_size]
             # A diverging run overflows before its loss turns non-finite;
             # the DivergenceError below reports it, not numpy warnings.
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 with record():
                     losses = [
-                        softmax_cross_entropy(
-                            forward(params, _load_normalized(r, geometry, cache)), r.label
-                        )
-                        for r in batch
+                        softmax_cross_entropy(forward(params, scans[i]), train_records[i].label)
+                        for i in batch
                     ]
                     loss = mean_scalars(losses)
                 value = loss.item()
@@ -166,12 +160,11 @@ def evaluate(
         raise ArgumentError(
             f"evaluation requires a binary head, model has {params.config.num_classes} classes"
         )
-    cache: dict[str, np.ndarray] = {}
     labels, predictions, scores = [], [], []
-    for r in records:
+    for r, scan in zip(records, _load_scans(records, geometry)):
         # As in train: a diverged model is a DivergenceError, not numpy warnings.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            logits = forward(params, _load_normalized(r, geometry, cache))
+            logits = forward(params, scan)
         if not np.isfinite(logits.data).all():
             raise DivergenceError(
                 f"non-finite logits {logits.data.tolist()} for scan {r.subject_id}/{r.scan_id}"

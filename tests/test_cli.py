@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: pipelines, exit codes, and idempotent output."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -82,7 +84,7 @@ class TestSynth:
         assert a == b
         for rec in mg.load_manifest(tmp_path / "a" / "manifest.csv").records:
             twin = str(rec.volume_path).replace("/a/", "/b/")
-            assert open(rec.volume_path, "rb").read() == open(twin, "rb").read()
+            assert Path(rec.volume_path).read_bytes() == Path(twin).read_bytes()
 
 
 class TestSplit:
@@ -178,7 +180,7 @@ class TestTrainEval:
         # sanity: baseline exits 0; now poison the learning rate via config
         assert code == 0
         bad_cfg = tmp_path / "bad.cfg"
-        bad_cfg.write_text(open(small_cfg).read().replace(
+        bad_cfg.write_text(Path(small_cfg).read_text().replace(
             "learning_rate=0.02", "learning_rate=1e12"))
         code = main([
             "train", "--manifest", str(dataset), "--folds", str(trained / "folds.csv"),
@@ -291,6 +293,15 @@ class TestErrors:
         code, _, err = run(capsys, "params", "--config", str(cfg))
         assert code == 2
         assert "not UTF-8" in err
+
+    def test_refused_allocation_exit_3(self, capsys, tmp_path):
+        # 10^13 channels ask numpy for petabytes, refused before any page is touched.
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("feature_channels=10000000000000\ndata_channels=10000000000000\n")
+        code, out, err = run(capsys, "params", "--config", str(cfg))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unreadable_config_exit_2(self, capsys, tmp_path):
         # A directory cannot be read as a file, whoever runs the test.
@@ -484,7 +495,7 @@ class TestBinaryHead:
     @pytest.fixture
     def three_class_cfg(self, tmp_path, small_cfg):
         cfg = tmp_path / "three.cfg"
-        cfg.write_text(open(small_cfg).read() + "num_classes=3\n")
+        cfg.write_text(Path(small_cfg).read_text() + "num_classes=3\n")
         return str(cfg)
 
     def test_cv_exit_2_before_any_fold(self, capsys, monkeypatch, dataset, three_class_cfg, tmp_path):

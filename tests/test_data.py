@@ -1,5 +1,7 @@
 """Volume I/O, normalization, manifests, fold splitting, and synthesis."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from mgnet3d import (
     FoldAssignment,
     FormatError,
     Manifest,
-    Tensor,
     VolumeRecord,
 )
 from mgnet3d.data import atomic_write
@@ -41,7 +42,8 @@ class TestVolumeIO:
         path = tmp_path / "v.vol"
         mg.save_volume(path, vol)
         back = mg.load_volume(path)
-        assert back.data.tobytes() == vol.tobytes()
+        assert isinstance(back, np.ndarray) and back.dtype == np.float32
+        assert back.tobytes() == vol.tobytes()
         assert mg.read_volume_header(path) == (2, 3, 4, 5)
 
     def test_truncated_payload(self, tmp_path):
@@ -107,31 +109,40 @@ class TestAtomicWrite:
 class TestNormalize:
     def test_two_values(self):
         vol = np.asarray([0.0, 2.0, 0.0, 2.0], dtype=np.float32).reshape(1, 1, 2, 2)
-        out = mg.normalize(Tensor(vol)).data
+        out = mg.normalize(vol)
         assert np.allclose(out, [[-1.0, 1.0], [-1.0, 1.0]], atol=1e-7)
 
     def test_result_is_standardized(self, rng):
         vol = rng.normal(loc=5.0, scale=3.0, size=(1, 4, 4, 4)).astype(np.float32)
-        out = mg.normalize(Tensor(vol)).data
+        out = mg.normalize(vol)
         assert abs(out.mean(dtype=np.float64)) < 1e-5
         assert abs(out.std(dtype=np.float64) - 1.0) < 1e-5
 
     def test_idempotent(self, rng):
         vol = rng.normal(size=(1, 4, 4, 4)).astype(np.float32)
-        once = mg.normalize(Tensor(vol)).data
-        twice = mg.normalize(Tensor(once)).data
+        once = mg.normalize(vol)
+        twice = mg.normalize(once)
         assert np.abs(once - twice).max() < 1e-5
 
     def test_affine_invariance(self, rng):
         vol = rng.normal(size=(1, 4, 4, 4)).astype(np.float32)
         shifted = 2.5 * vol + 7.0
-        a = mg.normalize(Tensor(vol)).data
-        b = mg.normalize(Tensor(shifted)).data
+        a = mg.normalize(vol)
+        b = mg.normalize(shifted)
         assert np.abs(a - b).max() < 1e-4
 
     def test_constant_volume_rejected(self):
         with pytest.raises(DataError):
-            mg.normalize(Tensor(np.full((1, 2, 2, 2), 3.0, dtype=np.float32)))
+            mg.normalize(np.full((1, 2, 2, 2), 3.0, dtype=np.float32))
+
+    @pytest.mark.parametrize("values", [
+        [1.4e-45] + [0.0] * 7,  # std rounds to 0 in float32
+        [3.4e38] + [-3.4e38] * 7,  # x - mean overflows float32
+    ])
+    def test_non_finite_z_score_rejected(self, values):
+        vol = np.asarray(values, dtype=np.float32).reshape(1, 2, 2, 2)
+        with pytest.raises(DataError, match="not finite in float32"):
+            mg.normalize(vol)
 
 
 class TestManifest:
@@ -269,9 +280,7 @@ class TestSynthGenerate:
         m1 = mg.synth_generate(tmp_path / "a", 2, 2, 8, 1.0, 0.1, seed=5)
         m2 = mg.synth_generate(tmp_path / "b", 2, 2, 8, 1.0, 0.1, seed=5)
         for r1, r2 in zip(m1.records, m2.records):
-            b1 = open(r1.volume_path, "rb").read()
-            b2 = open(r2.volume_path, "rb").read()
-            assert b1 == b2
+            assert Path(r1.volume_path).read_bytes() == Path(r2.volume_path).read_bytes()
         assert (tmp_path / "a" / "manifest.csv").exists()
 
     def test_effect_size_shifts_sphere_mean(self, tmp_path):
@@ -279,7 +288,7 @@ class TestSynthGenerate:
         mask = mg.atrophy_mask((12, 12, 12))
         means = {0: [], 1: []}
         for r in manifest.records:
-            vol = mg.load_volume(r.volume_path).data[0]
+            vol = mg.load_volume(r.volume_path)[0]
             means[r.label].append(vol[mask].mean())
         diff = np.mean(means[0]) - np.mean(means[1])
         assert abs(diff - 1.0) < 0.3
@@ -289,7 +298,7 @@ class TestSynthGenerate:
         mask = mg.atrophy_mask((12, 12, 12))
         means = {0: [], 1: []}
         for r in manifest.records:
-            vol = mg.load_volume(r.volume_path).data[0]
+            vol = mg.load_volume(r.volume_path)[0]
             means[r.label].append(vol[mask].mean())
         assert abs(np.mean(means[0]) - np.mean(means[1])) < 0.3
 

@@ -3,6 +3,7 @@ of its tracer, at a tiny size."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +46,24 @@ def test_script_writes_reports(tmp_path, script, reports):
         lines = (tmp_path / report).read_text().splitlines()
         assert "folds=2" in lines
         assert any(line.startswith("mean_accuracy=") for line in lines)
+
+
+def test_nudge_ensemble_prints_one_result_per_nudge():
+    done = run_python(REPO / "scripts" / "nudge_ensemble.py", "input_kernel:0:0",
+                      "level1.smoother2:200:+1", *TINY)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["nudge=input_kernel:0:+0",
+                                                   "nudge=level1.smoother2:200:+1"]
+    assert all(re.search(r" result=(PASS|FAIL)$", line) for line in lines), lines
+
+
+@pytest.mark.parametrize("nudge", ["bogus:0:+1", "head.bias:2:+1"])
+def test_nudge_ensemble_rejects_unknown_entry_before_any_run(nudge):
+    done = run_python(REPO / "scripts" / "nudge_ensemble.py", "input_kernel:0:0", nudge, *TINY)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith(f"error: {nudge}:")
 
 
 def test_tracer_reads_the_tape_of_a_tiny_train(tmp_path):

@@ -1,6 +1,7 @@
 """Training loop, evaluation, and the cross-validation driver at desk scale."""
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -148,6 +149,35 @@ class TestEvaluate:
         params = mg.build(tiny_model_config())
         with pytest.raises(mg.ShapeError):
             mg.evaluate(params, tiny_dataset.records, geometry=(1, 8, 8, 8))
+
+
+class TestVolumeLoads:
+    """Each train or evaluate call reads each of its scans from disk once."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        counts = Counter()
+        real = mg.training.load_volume
+
+        def counting(path):
+            counts[path] += 1
+            return real(path)
+
+        monkeypatch.setattr(mg.training, "load_volume", counting)
+        return counts
+
+    def test_train_loads_each_scan_once_and_eval_scans_per_evaluation(self, tiny_dataset, loads):
+        train_records, eval_records = tiny_dataset.records[::2], tiny_dataset.records[1::2]
+        tc = TrainConfig(learning_rate=0.01, batch_size=2, epochs=3, seed=0, log_every=1)
+        mg.train(tiny_model_config(), train_records, tc, eval_records=eval_records,
+                 geometry=tiny_dataset.geometry)
+        assert loads == {**{r.volume_path: 1 for r in train_records},
+                         **{r.volume_path: 3 for r in eval_records}}
+
+    def test_evaluate_loads_each_scan_once(self, tiny_dataset, loads):
+        params = mg.build(tiny_model_config())
+        mg.evaluate(params, tiny_dataset.records, geometry=tiny_dataset.geometry)
+        assert loads == {r.volume_path: 1 for r in tiny_dataset.records}
 
 
 class TestCrossValidate:
