@@ -13,8 +13,9 @@ with fixed seeds and inputs, except wall-clock lines, which always start
 with ``time=``.
 
 Exit codes: 0 on success; on failure, the ``exit_code`` of the
-``mgnet3d.errors`` class raised, or 3 for an operating-system error or an
-allocation the system refuses (``MemoryError``).
+``mgnet3d.errors`` class raised, or 3 for an operating-system error, an
+allocation the system refuses (``MemoryError``) or a size beyond an
+index's range (``OverflowError``).
 """
 
 from __future__ import annotations
@@ -131,9 +132,7 @@ def _resolve(args) -> dict:
 def _config(cls, settings: dict, seed_key: str):
     """The MgNetConfig or TrainConfig that the settings describe."""
     names = _field_keys(cls)
-    cfg = cls(seed=settings[seed_key], **{k: v for k, v in settings.items() if k in names})
-    cfg.validate()
-    return cfg
+    return cls(seed=settings[seed_key], **{k: v for k, v in settings.items() if k in names})
 
 
 def _flag(key: str) -> str:
@@ -210,7 +209,7 @@ def cmd_synth(args) -> int:
 
 def cmd_split(args) -> int:
     settings = _resolve(args)
-    manifest = load_manifest(_require(settings, "manifest"), resolve_geometry=False)
+    manifest = load_manifest(_require(settings, "manifest"))
     assignment = stratified_group_kfold(manifest, settings["k"], settings["seed_split"])
     out_dir = Path(_require(settings, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -245,12 +244,7 @@ def cmd_train(args) -> int:
 
     t0 = time.perf_counter()
     params, history = train(
-        model_cfg,
-        train_records,
-        train_cfg,
-        eval_records=eval_records or None,
-        geometry=manifest.geometry,
-        on_epoch=on_epoch,
+        model_cfg, train_records, train_cfg, eval_records=eval_records or None, on_epoch=on_epoch
     )
     checkpoint_path = out_dir / "checkpoint.mgn3"
     save_checkpoint(params, checkpoint_path)
@@ -265,7 +259,7 @@ def cmd_train(args) -> int:
     if eval_records:
         final_metrics = history[-1].metrics
         if final_metrics is None:
-            final_metrics = evaluate(params, eval_records, geometry=manifest.geometry)
+            final_metrics = evaluate(params, eval_records)
         summary_lines.extend(metrics_lines(final_metrics))
     _write_lines(out_dir / "summary.txt", summary_lines)
 
@@ -288,7 +282,7 @@ def cmd_eval(args) -> int:
     if folds is not None:
         assignment = FoldAssignment.load(folds)
         _, records = assignment.split_records(manifest, int(fold))
-    metrics = evaluate(params, records, geometry=manifest.geometry)
+    metrics = evaluate(params, records)
     print(f"scans={len(records)}")
     for line in metrics_lines(metrics):
         print(line)
@@ -398,7 +392,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MgnetError, OSError, MemoryError) as exc:
+    except (MgnetError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, MgnetError) else EXIT_OS_ERROR
 

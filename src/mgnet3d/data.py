@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, DataError, FormatError
+from .errors import ArgumentError, DataError, FormatError, ShapeError
 
 __all__ = [
     "VolumeRecord",
@@ -147,7 +147,7 @@ class VolumeRecord:
 
 @dataclass
 class Manifest:
-    """Ordered scan list plus the geometry every volume is declared to share."""
+    """Ordered scan list plus the geometry (channels, D, H, W) every volume shares."""
 
     records: list[VolumeRecord]
     geometry: tuple[int, int, int, int] | None = None
@@ -212,11 +212,11 @@ def save_manifest(manifest: Manifest, path) -> None:
     _write_table(path, _MANIFEST_HEADER, rows)
 
 
-def load_manifest(path, resolve_geometry: bool = True) -> Manifest:
+def load_manifest(path) -> Manifest:
     """Read a manifest CSV; relative volume paths resolve against its directory.
 
-    When ``resolve_geometry`` is set the first referenced volume's header
-    supplies the declared geometry.
+    Every listed volume's header is read: the first supplies ``geometry``,
+    and a volume that declares another raises ShapeError naming both files.
     """
     path = Path(path)
     records = []
@@ -231,9 +231,13 @@ def load_manifest(path, resolve_geometry: bool = True) -> Manifest:
         if not vp.is_absolute():
             vp = path.parent / vp
         records.append(VolumeRecord(subject_id, scan_id, label, str(vp)))
-    geometry = None
-    if resolve_geometry and records:
-        geometry = read_volume_header(records[0].volume_path)
+    geometry = read_volume_header(records[0].volume_path) if records else None
+    for r in records[1:]:
+        shape = read_volume_header(r.volume_path)
+        if shape != geometry:
+            raise ShapeError(
+                f"volume {r.volume_path} has geometry {shape}, {records[0].volume_path} has {geometry}"
+            )
     return Manifest(records, geometry)
 
 
@@ -276,10 +280,11 @@ class FoldAssignment:
             folds[subject] = fold
         if not folds:
             raise FormatError(f"{path}: empty fold assignment")
-        k = max(folds.values()) + 1
-        missing = sorted(set(range(k)) - set(folds.values()))
-        if missing:
-            raise FormatError(f"{path}: fold {missing[0]} has no subjects (folds run 0..{k - 1})")
+        used = set(folds.values())
+        k = max(used) + 1
+        gap = next(fold for fold in range(k + 1) if fold not in used)
+        if gap < k:
+            raise FormatError(f"{path}: fold {gap} has no subjects (folds run 0..{k - 1})")
         return cls(k, folds)
 
 
@@ -373,8 +378,9 @@ def synth_generate(
         if not (np.isfinite(value) and value >= 0):
             raise ArgumentError(f"{name} must be finite and >= 0, got {value}")
     spatial = (int(size),) * 3 if isinstance(size, (int, np.integer)) else tuple(int(v) for v in size)
-    if len(spatial) != 3 or min(spatial) < 4:
-        raise ArgumentError(f"volume size must be 3 extents of at least 4, got {spatial}")
+    if len(spatial) != 3 or min(spatial) < 4 or max(spatial) >= 2**32:
+        # VOL3 stores each extent as a u32.
+        raise ArgumentError(f"volume size must be 3 extents from 4 to 2**32 - 1, got {spatial}")
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

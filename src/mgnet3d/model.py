@@ -58,13 +58,14 @@ SMOOTHER_KERNEL_SIZE = 3
 TRANSFER_KERNEL_SIZE = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class MgNetConfig:
-    """Architecture hyperparameters.
+    """Architecture hyperparameters, checked when the config is built.
 
     ``smoothing_iters`` may be one int (applied to every grid) or one int
-    per grid. ``feature_channels`` and ``data_channels`` must agree so the
-    operator kernels can map between the two spaces on every grid.
+    per grid; it is stored as one int per grid. ``feature_channels`` and
+    ``data_channels`` must agree so the operator kernels can map between
+    the two spaces on every grid.
     """
 
     num_grids: int = 5
@@ -79,9 +80,10 @@ class MgNetConfig:
 
     def __post_init__(self) -> None:
         if isinstance(self.smoothing_iters, (int, np.integer)):
-            self.smoothing_iters = (int(self.smoothing_iters),) * int(self.num_grids)
+            iters = (int(self.smoothing_iters),) * int(self.num_grids)
         else:
-            self.smoothing_iters = tuple(int(v) for v in self.smoothing_iters)
+            iters = tuple(int(v) for v in self.smoothing_iters)
+        object.__setattr__(self, "smoothing_iters", iters)
         self.validate()
 
     def validate(self) -> None:
@@ -120,28 +122,26 @@ class MgNetParams:
         return iter(self.by_name.values())
 
 
-def _kernel_specs(config: MgNetConfig) -> list[tuple[str, tuple[int, ...], int | None]]:
+def _kernel_specs(config: MgNetConfig) -> Iterator[tuple[str, tuple[int, ...], int | None]]:
     """(name, shape, fan_in) per tensor in traversal order; fan_in None means zero-init.
 
     The only statement of the layout: ``MgNetParams`` keys, init draws,
     MGN3 order, SGD and counting follow it. The coarsest grid has no
-    transfer kernels.
+    transfer kernels. Entries are yielded one at a time, so a reader can
+    stop at the first one it cannot match.
     """
     cu, cf = config.feature_channels, config.data_channels
     k3, k1 = SMOOTHER_KERNEL_SIZE, TRANSFER_KERNEL_SIZE
-    specs: list[tuple[str, tuple[int, ...], int | None]] = [
-        ("input_kernel", (cf, config.input_channels, k3, k3, k3), config.input_channels * k3**3)
-    ]
+    yield "input_kernel", (cf, config.input_channels, k3, k3, k3), config.input_channels * k3**3
     for i in range(1, config.num_grids + 1):
-        specs.append((f"level{i}.operator", (cf, cu, k3, k3, k3), cu * k3**3))
+        yield f"level{i}.operator", (cf, cu, k3, k3, k3), cu * k3**3
         for j in range(1, config.smoothing_iters[i - 1] + 1):
-            specs.append((f"level{i}.smoother{j}", (cu, cf, k3, k3, k3), cf * k3**3))
+            yield f"level{i}.smoother{j}", (cu, cf, k3, k3, k3), cf * k3**3
         if i < config.num_grids:
-            specs.append((f"level{i}.prolongation", (cu, cu, k1, k1, k1), cu * k1**3))
-            specs.append((f"level{i}.restriction", (cf, cf, k1, k1, k1), cf * k1**3))
-    specs.append(("head.weight", (config.num_classes, cu), cu))
-    specs.append(("head.bias", (config.num_classes,), None))
-    return specs
+            yield f"level{i}.prolongation", (cu, cu, k1, k1, k1), cu * k1**3
+            yield f"level{i}.restriction", (cf, cf, k1, k1, k1), cf * k1**3
+    yield "head.weight", (config.num_classes, cu), cu
+    yield "head.bias", (config.num_classes,), None
 
 
 def build(config: MgNetConfig) -> MgNetParams:
@@ -152,7 +152,6 @@ def build(config: MgNetConfig) -> MgNetParams:
     happen in ``_kernel_specs`` order, so identical seeds give bitwise
     identical parameters.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     by_name = {}
     for name, shape, fan_in in _kernel_specs(config):

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Manifest, VolumeRecord, FoldAssignment, load_volume, normalize, stratified_group_kfold
-from .errors import ArgumentError, ConfigError, DivergenceError, ShapeError, StateError
+from .errors import ArgumentError, ConfigError, DivergenceError, StateError
 from .metrics import EvalMetrics, compute_metrics
 from .model import MgNetConfig, MgNetParams, build, forward
 from .tensor import Tensor, backward, mean_scalars, record, sgd_step, softmax_cross_entropy
@@ -33,9 +33,9 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Optimization hyperparameters.
+    """Optimization hyperparameters, checked when the config is built.
 
     ``log_every`` is the epoch cadence for held-out metric evaluation
     when an evaluation set is supplied (0 disables it).
@@ -46,6 +46,9 @@ class TrainConfig:
     epochs: int = 1
     seed: int = 0
     log_every: int = 1
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if not np.isfinite(self.learning_rate):
@@ -70,17 +73,9 @@ class EpochStats:
     wall_seconds: float
 
 
-def _load_scans(records: Sequence[VolumeRecord], geometry: tuple[int, int, int, int] | None) -> list[Tensor]:
-    """Each record's volume, geometry-checked and z-scored, in record order."""
-    scans = []
-    for r in records:
-        vol = load_volume(r.volume_path)
-        if geometry is not None and vol.shape != tuple(geometry):
-            raise ShapeError(
-                f"volume {r.volume_path} has geometry {vol.shape}, manifest declares {tuple(geometry)}"
-            )
-        scans.append(Tensor(normalize(vol)))
-    return scans
+def _load_scans(records: Sequence[VolumeRecord]) -> list[Tensor]:
+    """Each record's volume, z-scored, in record order."""
+    return [Tensor(normalize(load_volume(r.volume_path))) for r in records]
 
 
 def train(
@@ -88,7 +83,6 @@ def train(
     train_records: Sequence[VolumeRecord],
     train_cfg: TrainConfig,
     eval_records: Sequence[VolumeRecord] | None = None,
-    geometry: tuple[int, int, int, int] | None = None,
     on_epoch: Callable[[EpochStats], None] | None = None,
 ) -> tuple[MgNetParams, list[EpochStats]]:
     """Run seeded mini-batch SGD; return the final parameters and per-epoch stats.
@@ -98,7 +92,6 @@ def train(
     per-epoch loss is the mean over batch losses. Every training scan is
     loaded and z-scored once, before the first step.
     """
-    train_cfg.validate()
     if not train_records:
         raise ArgumentError("training set is empty")
     labels = {r.label for r in train_records}
@@ -108,7 +101,7 @@ def train(
         raise ArgumentError(f"training requires a binary head, model has {model_config.num_classes} classes")
 
     params = build(model_config)
-    scans = _load_scans(train_records, geometry)
+    scans = _load_scans(train_records)
     rng = np.random.default_rng(train_cfg.seed)
     history: list[EpochStats] = []
     for epoch in range(train_cfg.epochs):
@@ -139,7 +132,7 @@ def train(
             and train_cfg.log_every > 0
             and (epoch + 1) % train_cfg.log_every == 0
         ):
-            metrics = evaluate(params, eval_records, geometry=geometry)
+            metrics = evaluate(params, eval_records)
         stats = EpochStats(epoch, epoch_loss, metrics, time.perf_counter() - t0)
         history.append(stats)
         if on_epoch is not None:
@@ -147,11 +140,7 @@ def train(
     return params, history
 
 
-def evaluate(
-    params: MgNetParams,
-    records: Sequence[VolumeRecord],
-    geometry: tuple[int, int, int, int] | None = None,
-) -> EvalMetrics:
+def evaluate(params: MgNetParams, records: Sequence[VolumeRecord]) -> EvalMetrics:
     """Per-scan metrics: predicted class is the argmax logit, the score is
     the class-1 softmax probability."""
     if not records:
@@ -161,7 +150,7 @@ def evaluate(
             f"evaluation requires a binary head, model has {params.config.num_classes} classes"
         )
     labels, predictions, scores = [], [], []
-    for r, scan in zip(records, _load_scans(records, geometry)):
+    for r, scan in zip(records, _load_scans(records)):
         # As in train: a diverged model is a DivergenceError, not numpy warnings.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             logits = forward(params, scan)
@@ -237,10 +226,8 @@ def cross_validate(
             raise StateError(f"subject leakage between train and test in fold {fold}: {overlap}")
         fold_model_cfg = replace(model_config, seed=_fold_seed(model_config.seed, fold))
         fold_train_cfg = replace(train_cfg, seed=_fold_seed(train_cfg.seed, fold))
-        params, history = train(
-            fold_model_cfg, train_records, fold_train_cfg, geometry=manifest.geometry
-        )
-        return evaluate(params, test_records, geometry=manifest.geometry), history[-1].loss
+        params, history = train(fold_model_cfg, train_records, fold_train_cfg)
+        return evaluate(params, test_records), history[-1].loss
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

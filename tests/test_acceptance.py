@@ -290,12 +290,12 @@ def test_criterion_9_round_trips(quick_dataset, tmp_path, rng):
         cfg = MgNetConfig(num_grids=2, smoothing_iters=(2, 1), feature_channels=4,
                           data_channels=4, seed=13)
         tc = TrainConfig(learning_rate=0.05, batch_size=2, epochs=2, seed=3, log_every=0)
-        params, _ = mg.train(cfg, quick_dataset.records, tc, geometry=quick_dataset.geometry)
+        params, _ = mg.train(cfg, quick_dataset.records, tc)
         ckpt = tmp_path / "model.mgn3"
         mg.save_checkpoint(params, ckpt)
         loaded = mg.load_checkpoint(ckpt)
         for (name, a), (_, b) in zip(params.named_tensors(), loaded.named_tensors()):
             assert a.data.tobytes() == b.data.tobytes(), name
-        before = mg.evaluate(params, quick_dataset.records, geometry=quick_dataset.geometry)
-        after = mg.evaluate(loaded, quick_dataset.records, geometry=quick_dataset.geometry)
+        before = mg.evaluate(params, quick_dataset.records)
+        after = mg.evaluate(loaded, quick_dataset.records)
         assert before == after

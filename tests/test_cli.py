@@ -295,13 +295,23 @@ class TestErrors:
         assert "not UTF-8" in err
 
     def test_refused_allocation_exit_3(self, capsys, tmp_path):
-        # 10^13 channels ask numpy for petabytes, refused before any page is touched.
+        # 10^13 channels ask numpy for petabytes, refused before any page is
+        # touched; 10^19 grids overflow the index of the per-grid pass counts.
         cfg = tmp_path / "huge.cfg"
-        cfg.write_text("feature_channels=10000000000000\ndata_channels=10000000000000\n")
-        code, out, err = run(capsys, "params", "--config", str(cfg))
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        for text in ("feature_channels=10000000000000\ndata_channels=10000000000000\n",
+                     "num_grids=10000000000000000000\n"):
+            cfg.write_text(text)
+            code, out, err = run(capsys, "params", "--config", str(cfg))
+            assert code == 3
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_synth_extent_beyond_u32_exit_2(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "synth", "--out", str(out_dir), "--size", "4294967296")
+        assert code == 2
+        assert err.startswith("error: volume size") and err.count("\n") == 1
+        assert not out_dir.exists()
 
     def test_unreadable_config_exit_2(self, capsys, tmp_path):
         # A directory cannot be read as a file, whoever runs the test.
@@ -414,9 +424,9 @@ class TestErrors:
         mg.synth_generate(data, 2, 1, 4, 1.0, 0.1, seed=0)
         ckpt = tmp_path / "model.mgn3"
         mg.save_checkpoint(mg.build(mg.MgNetConfig(num_grids=1, feature_channels=2, data_channels=2)), ckpt)
-        first = mg.load_manifest(data / "manifest.csv").records[0].volume_path
-        with open(first, "wb") as fh:
-            fh.write(b"VOL3" + np.asarray([1] + [65536] * 4, dtype="<u4").tobytes())
+        for record in mg.load_manifest(data / "manifest.csv").records:
+            with open(record.volume_path, "wb") as fh:
+                fh.write(b"VOL3" + np.asarray([1] + [65536] * 4, dtype="<u4").tobytes())
         code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt),
                              "--manifest", str(data / "manifest.csv"))
         assert code == 3
@@ -487,6 +497,40 @@ class TestErrors:
         assert out == ""
         assert "contains a NUL byte" in err
         assert not (tmp_path / "out").exists()
+
+
+class TestMixedGeometry:
+    """A manifest whose volumes differ in geometry is refused where it is read."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("mixed")
+        manifest = mg.synth_generate(root / "data", n_subjects_per_class=2, scans_per_subject=1,
+                                     size=8, effect_size=1.0, noise_std=0.1, seed=0)
+        assert main(["split", "--manifest", str(root / "data" / "manifest.csv"), "--k", "2",
+                     "--out", str(root)]) == 0
+        mg.save_checkpoint(mg.build(mg.MgNetConfig(num_grids=1, feature_channels=2, data_channels=2)),
+                           root / "model.mgn3")
+        last = manifest.records[-1].volume_path
+        mg.save_volume(last, np.ones((1, 8, 8, 10), dtype=np.float32))
+        return root, last
+
+    @pytest.mark.parametrize("command", ["split", "train", "eval", "cv"])
+    def test_exit_3_before_any_output(self, capsys, tmp_path, inputs, command):
+        root, last = inputs
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        argv = {
+            "split": ["--k", "2", "--out", str(out_dir)],
+            "train": ["--folds", str(root / "folds.csv"), "--fold", "0", "--out", str(out_dir)],
+            "eval": ["--checkpoint", str(root / "model.mgn3")],
+            "cv": ["--k", "2", "--out", str(out_dir)],
+        }[command]
+        code, out, err = run(capsys, command, "--manifest", str(root / "data" / "manifest.csv"), *argv)
+        assert code == 3
+        assert out == ""
+        assert f"volume {last} has geometry (1, 8, 8, 10)" in err
+        assert not out_dir.exists()
 
 
 class TestBinaryHead:

@@ -14,6 +14,7 @@ from mgnet3d import (
     FoldAssignment,
     FormatError,
     Manifest,
+    ShapeError,
     VolumeRecord,
 )
 from mgnet3d.data import atomic_write
@@ -192,6 +193,14 @@ class TestManifest:
         with pytest.raises(FormatError):
             mg.load_manifest(path)
 
+    def test_mismatched_geometry_rejected(self, rng, tmp_path):
+        manifest = mg.synth_generate(tmp_path, 2, 1, 4, 1.0, 0.1, seed=0)
+        first, last = manifest.records[0].volume_path, manifest.records[-1].volume_path
+        mg.save_volume(last, rng.normal(size=(1, 4, 4, 5)).astype(np.float32))
+        with pytest.raises(ShapeError) as excinfo:
+            mg.load_manifest(tmp_path / "manifest.csv")
+        assert str(excinfo.value) == f"volume {last} has geometry (1, 4, 4, 5), {first} has (1, 4, 4, 4)"
+
 
 class TestStratifiedGroupKfold:
     def test_two_by_two(self):
@@ -269,10 +278,12 @@ class TestStratifiedGroupKfold:
         assert loaded.folds == assignment.folds
 
     def test_fold_gap_rejected(self, tmp_path):
+        # A fold index of 10^12 is rejected without counting up to it.
         path = tmp_path / "folds.csv"
-        path.write_text("subject_id,fold\ns0,0\ns1,2\ns2,0\n")
-        with pytest.raises(FormatError, match="fold 1"):
-            FoldAssignment.load(path)
+        for rows, gap in (("s0,0\ns1,2\ns2,0\n", "fold 1"), ("s0,1000000000000\n", "fold 0")):
+            path.write_text("subject_id,fold\n" + rows)
+            with pytest.raises(FormatError, match=gap):
+                FoldAssignment.load(path)
 
 
 class TestSynthGenerate:

@@ -2,6 +2,8 @@
 and checkpoint serialization."""
 
 import hashlib
+import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -63,6 +65,10 @@ class TestConfig:
     def test_invalid(self, overrides):
         with pytest.raises(ConfigError):
             tiny_config(**overrides)
+
+    def test_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            tiny_config().num_grids = 0
 
 
 class TestBuild:
@@ -482,6 +488,21 @@ class TestCheckpoint:
         path.write_bytes(head + np.asarray([5, 2**31, 2**31, 3, 3, 3], dtype="<u4").tobytes() + bytes(64))
         with pytest.raises(FormatError, match="truncated while reading input_kernel payload"):
             mg.load_checkpoint(path)
+
+    def test_truncated_after_config_of_many_grids(self, tmp_path):
+        # The layout is walked entry by entry, so the missing first tensor
+        # is reported without listing 10^5 grids' kernels.
+        block = GOLDEN_CONFIG_BLOCK.replace(b"num_grids=2\nsmoothing_iters=2,1", b"num_grids=100000\nsmoothing_iters=2")
+        path = tmp_path / "model.mgn3"
+        path.write_bytes(b"MGN3" + np.asarray([1, len(block)], dtype="<u4").tobytes() + block)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated while reading input_kernel rank"):
+                mg.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "model.mgn3"

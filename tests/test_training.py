@@ -2,6 +2,7 @@
 
 import re
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -48,7 +49,15 @@ class TestTrainConfig:
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_learning_rate_rejected(self, lr):
         with pytest.raises(ConfigError, match="learning_rate must be finite"):
-            TrainConfig(learning_rate=lr).validate()
+            TrainConfig(learning_rate=lr)
+
+    def test_checked_when_built(self):
+        with pytest.raises(ConfigError, match="epochs must be >= 1"):
+            TrainConfig(epochs=0)
+
+    def test_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            TrainConfig().epochs = 0
 
 
 class TestTrain:
@@ -56,7 +65,7 @@ class TestTrain:
         cfg = tiny_model_config()
         initial = mg.build(cfg)
         tc = TrainConfig(learning_rate=0.0, batch_size=2, epochs=2, seed=0, log_every=0)
-        params, history = mg.train(cfg, tiny_dataset.records, tc, geometry=tiny_dataset.geometry)
+        params, history = mg.train(cfg, tiny_dataset.records, tc)
         for (name, a), (_, b) in zip(initial.named_tensors(), params.named_tensors()):
             assert np.array_equal(a.data, b.data), name
         assert len(history) == 2
@@ -65,27 +74,27 @@ class TestTrain:
         # Full-batch descent: 8 scans per step keeps the trajectory stable.
         cfg = tiny_model_config()
         tc = TrainConfig(learning_rate=0.5, batch_size=8, epochs=20, seed=0, log_every=0)
-        _, history = mg.train(cfg, tiny_dataset.records, tc, geometry=tiny_dataset.geometry)
+        _, history = mg.train(cfg, tiny_dataset.records, tc)
         assert history[-1].loss < history[0].loss
 
     def test_bitwise_reproducible_history(self, tiny_dataset):
         cfg = tiny_model_config()
         tc = TrainConfig(learning_rate=0.02, batch_size=2, epochs=3, seed=9, log_every=0)
-        _, h1 = mg.train(cfg, tiny_dataset.records, tc, geometry=tiny_dataset.geometry)
-        _, h2 = mg.train(cfg, tiny_dataset.records, tc, geometry=tiny_dataset.geometry)
+        _, h1 = mg.train(cfg, tiny_dataset.records, tc)
+        _, h2 = mg.train(cfg, tiny_dataset.records, tc)
         assert [epoch_line(e) for e in h1] == [epoch_line(e) for e in h2]
         tc_other = TrainConfig(learning_rate=0.02, batch_size=2, epochs=3, seed=10, log_every=0)
-        _, h3 = mg.train(cfg, tiny_dataset.records, tc_other, geometry=tiny_dataset.geometry)
+        _, h3 = mg.train(cfg, tiny_dataset.records, tc_other)
         assert [epoch_line(e) for e in h1] != [epoch_line(e) for e in h3]
 
     def test_adjoint_worker_does_not_change_parameters(self, large_dataset, monkeypatch):
         cfg = tiny_model_config(feature_channels=16, data_channels=16)
         tc = TrainConfig(learning_rate=0.02, batch_size=2, epochs=1, seed=3, log_every=0)
         handoffs = count_worker_handoffs(monkeypatch)
-        threaded, _ = mg.train(cfg, large_dataset.records, tc, geometry=large_dataset.geometry)
+        threaded, _ = mg.train(cfg, large_dataset.records, tc)
         assert handoffs
         run_worker_jobs_inline(monkeypatch)
-        inline, _ = mg.train(cfg, large_dataset.records, tc, geometry=large_dataset.geometry)
+        inline, _ = mg.train(cfg, large_dataset.records, tc)
         for (name, a), (_, b) in zip(threaded.named_tensors(), inline.named_tensors()):
             assert a.data.tobytes() == b.data.tobytes(), name
 
@@ -93,7 +102,7 @@ class TestTrain:
         # Balanced data, zero head bias, small weights: mean loss ~ ln 2.
         cfg = tiny_model_config()
         tc = TrainConfig(learning_rate=0.0, batch_size=2, epochs=1, seed=0, log_every=0)
-        _, history = mg.train(cfg, tiny_dataset.records, tc, geometry=tiny_dataset.geometry)
+        _, history = mg.train(cfg, tiny_dataset.records, tc)
         assert abs(history[0].loss - np.log(2.0)) < 0.2
 
     def test_single_class_rejected(self, tiny_dataset):
@@ -109,19 +118,13 @@ class TestTrain:
         cfg = tiny_model_config()
         tc = TrainConfig(learning_rate=1e12, batch_size=2, epochs=4, seed=0, log_every=0)
         with pytest.raises(DivergenceError) as excinfo:
-            mg.train(cfg, tiny_dataset.records, tc, geometry=tiny_dataset.geometry)
+            mg.train(cfg, tiny_dataset.records, tc)
         assert re.search(r"at epoch \d+, batch \d+$", str(excinfo.value)), str(excinfo.value)
 
     def test_history_carries_eval_metrics_at_cadence(self, tiny_dataset):
         cfg = tiny_model_config()
         tc = TrainConfig(learning_rate=0.01, batch_size=2, epochs=4, seed=0, log_every=2)
-        _, history = mg.train(
-            cfg,
-            tiny_dataset.records,
-            tc,
-            eval_records=tiny_dataset.records,
-            geometry=tiny_dataset.geometry,
-        )
+        _, history = mg.train(cfg, tiny_dataset.records, tc, eval_records=tiny_dataset.records)
         flagged = [e.metrics is not None for e in history]
         assert flagged == [False, True, False, True]
         line = epoch_line(history[1])
@@ -131,24 +134,19 @@ class TestTrain:
 class TestEvaluate:
     def test_pure_and_deterministic(self, tiny_dataset):
         params = mg.build(tiny_model_config())
-        a = mg.evaluate(params, tiny_dataset.records, geometry=tiny_dataset.geometry)
-        b = mg.evaluate(params, tiny_dataset.records, geometry=tiny_dataset.geometry)
+        a = mg.evaluate(params, tiny_dataset.records)
+        b = mg.evaluate(params, tiny_dataset.records)
         assert a == b
 
     def test_counts_sum_to_scans(self, tiny_dataset):
         params = mg.build(tiny_model_config())
-        m = mg.evaluate(params, tiny_dataset.records, geometry=tiny_dataset.geometry)
+        m = mg.evaluate(params, tiny_dataset.records)
         assert m.tp + m.tn + m.fp + m.fn == len(tiny_dataset.records)
 
     def test_empty_rejected(self):
         params = mg.build(tiny_model_config())
         with pytest.raises(ArgumentError):
             mg.evaluate(params, [])
-
-    def test_geometry_mismatch(self, tiny_dataset):
-        params = mg.build(tiny_model_config())
-        with pytest.raises(mg.ShapeError):
-            mg.evaluate(params, tiny_dataset.records, geometry=(1, 8, 8, 8))
 
 
 class TestVolumeLoads:
@@ -169,14 +167,13 @@ class TestVolumeLoads:
     def test_train_loads_each_scan_once_and_eval_scans_per_evaluation(self, tiny_dataset, loads):
         train_records, eval_records = tiny_dataset.records[::2], tiny_dataset.records[1::2]
         tc = TrainConfig(learning_rate=0.01, batch_size=2, epochs=3, seed=0, log_every=1)
-        mg.train(tiny_model_config(), train_records, tc, eval_records=eval_records,
-                 geometry=tiny_dataset.geometry)
+        mg.train(tiny_model_config(), train_records, tc, eval_records=eval_records)
         assert loads == {**{r.volume_path: 1 for r in train_records},
                          **{r.volume_path: 3 for r in eval_records}}
 
     def test_evaluate_loads_each_scan_once(self, tiny_dataset, loads):
         params = mg.build(tiny_model_config())
-        mg.evaluate(params, tiny_dataset.records, geometry=tiny_dataset.geometry)
+        mg.evaluate(params, tiny_dataset.records)
         assert loads == {r.volume_path: 1 for r in tiny_dataset.records}
 
 
@@ -210,10 +207,10 @@ class TestCheckpointIntegration:
     def test_loaded_checkpoint_evaluates_identically(self, tiny_dataset, tmp_path):
         cfg = tiny_model_config()
         tc = TrainConfig(learning_rate=0.02, batch_size=2, epochs=2, seed=4, log_every=0)
-        params, _ = mg.train(cfg, tiny_dataset.records, tc, geometry=tiny_dataset.geometry)
+        params, _ = mg.train(cfg, tiny_dataset.records, tc)
         path = tmp_path / "model.mgn3"
         mg.save_checkpoint(params, path)
         loaded = mg.load_checkpoint(path)
-        before = mg.evaluate(params, tiny_dataset.records, geometry=tiny_dataset.geometry)
-        after = mg.evaluate(loaded, tiny_dataset.records, geometry=tiny_dataset.geometry)
+        before = mg.evaluate(params, tiny_dataset.records)
+        after = mg.evaluate(loaded, tiny_dataset.records)
         assert before == after
