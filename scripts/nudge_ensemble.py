@@ -77,8 +77,8 @@ def run(nudge: Nudge, manifest, train_cfg) -> str:
     real_build = mg.training.build
     mg.training.build = nudged_build(nudge, real_build)
     try:
-        result = mg.cross_validate(mg.MgNetConfig(**MODEL), manifest, k=2,
-                                   train_cfg=train_cfg, split_seed=11)
+        assignment = mg.stratified_group_kfold(manifest, 2, 11)
+        result = mg.cross_validate(mg.MgNetConfig(**MODEL), manifest, assignment, train_cfg)
     except mg.DivergenceError as exc:
         return f"nudge={nudge} result=FAIL error={exc}"
     finally:

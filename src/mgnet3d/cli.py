@@ -188,7 +188,6 @@ def _parse_size(text: str):
 def cmd_synth(args) -> int:
     settings = _resolve(args)
     out_dir = Path(_require(settings, "out"))
-    print(f"seed_data={settings['seed_data']}")
     manifest = synth_generate(
         out_dir,
         n_subjects_per_class=args.subjects_per_class,
@@ -201,6 +200,7 @@ def cmd_synth(args) -> int:
     subjects = manifest.subjects()
     class1 = sum(subjects.values())
     geometry = "x".join(str(v) for v in manifest.geometry)
+    print(f"seed_data={settings['seed_data']}")
     print(f"manifest={out_dir / 'manifest.csv'}")
     print(f"subjects={len(subjects)} scans={len(manifest.records)} geometry={geometry}")
     print(f"class0_subjects={len(subjects) - class1} class1_subjects={class1}")
@@ -306,9 +306,8 @@ def cmd_params(args) -> int:
 def cmd_cv(args) -> int:
     settings = _resolve(args)
     manifest = load_manifest(_require(settings, "manifest"))
-    # A fold count the dataset cannot split exits before any directory or
-    # output; cross_validate makes the same split again.
-    stratified_group_kfold(manifest, settings["k"], settings["seed_split"])
+    # A fold count the dataset cannot split exits before any directory or output.
+    assignment = stratified_group_kfold(manifest, settings["k"], settings["seed_split"])
     model_cfg = _config(MgNetConfig, settings, "seed_model")
     train_cfg = _config(TrainConfig, settings, "seed_train")
     out = settings.get("out")
@@ -322,14 +321,7 @@ def cmd_cv(args) -> int:
     for line in seed_lines:
         print(line)
     t0 = time.perf_counter()
-    result = cross_validate(
-        model_cfg,
-        manifest,
-        settings["k"],
-        train_cfg,
-        split_seed=settings["seed_split"],
-        workers=settings["workers"],
-    )
+    result = cross_validate(model_cfg, manifest, assignment, train_cfg, workers=settings["workers"])
     report_lines = list(seed_lines)
     for fold, (metrics, loss) in enumerate(zip(result.fold_metrics, result.final_losses)):
         report_lines.append(f"fold={fold}")

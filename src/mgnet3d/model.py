@@ -7,11 +7,11 @@ feature map; stride-2 transfer convolutions then move both maps to the
 next coarser grid. The coarsest feature map is globally pooled and fed
 to an affine softmax head.
 
-Stride-1 kernels are 3x3x3 with padding 1 so both maps stay on their
-grid. The stride-2 grid-transfer kernels are 1x1x1 (pure channel
-reprojection); they produce the same coarse extent ceil(n/2) a padded
-3x3x3 stride-2 convolution would, while keeping the parameter budget
-well below a comparable 3D residual network.
+Stride-1 kernels are 3x3x3, and conv3d pads them by one voxel so both
+maps stay on their grid. The stride-2 grid-transfer kernels are 1x1x1
+(pure channel reprojection); they produce the coarse extent ceil(n/2) of
+``level_shapes``, as a padded 3x3x3 stride-2 convolution would, while
+keeping the parameter budget well below a comparable 3D residual network.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .tensor import (
     avg_pool3d,
     channel_norm,
     conv3d,
-    conv_output_extent,
     global_avg_pool,
     linear,
     relu,
@@ -56,6 +55,9 @@ CHECKPOINT_MAGIC = b"MGN3"
 CHECKPOINT_VERSION = 1
 SMOOTHER_KERNEL_SIZE = 3
 TRANSFER_KERNEL_SIZE = 1
+# VOL3 extents are u32, and by level_shapes 32 transfers bring any of them
+# to 1, so a grid past the 33rd would only repeat a 1x1x1 map.
+MAX_GRIDS = 33
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,9 @@ class MgNetConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Checked before smoothing_iters is expanded to one int per grid.
+        if not 1 <= self.num_grids <= MAX_GRIDS:
+            raise ConfigError(f"num_grids must be from 1 to {MAX_GRIDS}, got {self.num_grids}")
         if isinstance(self.smoothing_iters, (int, np.integer)):
             iters = (int(self.smoothing_iters),) * int(self.num_grids)
         else:
@@ -87,8 +92,6 @@ class MgNetConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.num_grids < 1:
-            raise ConfigError(f"num_grids must be >= 1, got {self.num_grids}")
         if len(self.smoothing_iters) != self.num_grids:
             raise ConfigError(
                 f"smoothing_iters has {len(self.smoothing_iters)} entries for {self.num_grids} grids"
@@ -180,8 +183,8 @@ def smooth(
     A zero residual is a strict fixed point: the activation zeroes it and
     the correction vanishes, returning u unchanged.
     """
-    residual = sub(f, conv3d(u, operator_kernel, stride=1, padding=1))
-    correction = conv3d(_activate(residual, use_channel_norm), smoother_kernel, stride=1, padding=1)
+    residual = sub(f, conv3d(u, operator_kernel))
+    correction = conv3d(_activate(residual, use_channel_norm), smoother_kernel)
     return add(u, _activate(correction, use_channel_norm))
 
 
@@ -202,11 +205,11 @@ def restrict(
     map; average pooling (when enabled) is applied afterwards. Both
     outputs share the coarse spatial shape.
     """
-    u_coarse = conv3d(u, prolongation, stride=2, padding=0)
-    residual = sub(f, conv3d(u, operator, stride=1, padding=1))
+    u_coarse = conv3d(u, prolongation, stride=2)
+    residual = sub(f, conv3d(u, operator))
     f_coarse = add(
-        conv3d(residual, restriction, stride=2, padding=0),
-        conv3d(u_coarse, next_operator, stride=1, padding=1),
+        conv3d(residual, restriction, stride=2),
+        conv3d(u_coarse, next_operator),
     )
     if use_avg_pool:
         u_coarse = avg_pool3d(u_coarse)
@@ -214,17 +217,11 @@ def restrict(
 
 
 def level_shapes(config: MgNetConfig, spatial) -> list[tuple[int, int, int]]:
-    """Spatial extents on each grid, finest to coarsest.
-
-    Each transfer halves every extent, rounding up. Raises ConfigError
-    naming the offending grid if any extent would collapse below 1.
-    """
+    """Spatial extents on each grid, finest to coarsest: each transfer
+    halves every extent, rounding up."""
     shapes = [tuple(int(n) for n in spatial)]
-    for grid in range(2, config.num_grids + 1):
-        nxt = tuple(conv_output_extent(n, TRANSFER_KERNEL_SIZE, 2, 0) for n in shapes[-1])
-        if min(nxt) < 1:
-            raise ConfigError(f"grid {grid} would have non-positive spatial extent {nxt}")
-        shapes.append(nxt)
+    for _ in range(1, config.num_grids):
+        shapes.append(tuple((n + 1) // 2 for n in shapes[-1]))
     return shapes
 
 
@@ -237,9 +234,8 @@ def forward(params: MgNetParams, volume: Tensor) -> Tensor:
         raise ShapeError(
             f"model expects {cfg.input_channels} input channel(s), volume has shape {volume.shape}"
         )
-    level_shapes(cfg, volume.shape[1:])
     p = params.by_name
-    f = _activate(conv3d(volume, p["input_kernel"], stride=1, padding=1), cfg.use_channel_norm)
+    f = _activate(conv3d(volume, p["input_kernel"]), cfg.use_channel_norm)
     # MgNet starts from u0 = 0. The first pass's residual f - A*u0 is then f
     # exactly and u0 + v is v, so that pass runs without the operator conv.
     # A one-grid, one-pass network reads its operator nowhere else; it keeps
@@ -255,7 +251,7 @@ def forward(params: MgNetParams, volume: Tensor) -> Tensor:
         for j in range(1, cfg.smoothing_iters[i - 1] + 1):
             smoother = p[f"level{i}.smoother{j}"]
             if u is None:
-                v = conv3d(_activate(f, cfg.use_channel_norm), smoother, stride=1, padding=1)
+                v = conv3d(_activate(f, cfg.use_channel_norm), smoother)
                 u = _activate(v, cfg.use_channel_norm)
             else:
                 u = smooth(u, f, operator, smoother, cfg.use_channel_norm)

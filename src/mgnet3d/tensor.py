@@ -35,7 +35,6 @@ __all__ = [
     "backward",
     "sgd_step",
     "conv3d",
-    "conv_output_extent",
     "relu",
     "add",
     "sub",
@@ -272,49 +271,44 @@ def _hand_off(fn: Callable, *args) -> Future | None:
     return _adjoint_worker.submit(job, contextvars.copy_context())
 
 
-def conv_output_extent(n: int, kernel: int, stride: int, padding: int) -> int:
-    """Output length along one axis: floor((n + 2*padding - kernel)/stride) + 1."""
-    return (n + 2 * padding - kernel) // stride + 1
-
-
-def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tensor:
+def conv3d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     """Cross-correlate a ``[c_in,D,H,W]`` map with a ``[c_out,c_in,k,k,k]`` kernel.
 
-    Zero padding of width ``padding`` is applied on every spatial face.
-    Each output voxel is the exact triple sum over the k**3 neighborhood,
-    with zeros outside bounds. Stride 2 is the grid transfer only: an
-    unpadded 1x1x1 kernel. Differentiable with respect to both the input
+    The kernel sets the padding. Stride 1 is the same-size convolution: an
+    odd kernel on x zero-padded by k // 2 on every spatial face, so the
+    output keeps x's extent. Stride 2 is the grid transfer only: a 1x1x1
+    kernel on every second voxel, so each extent n becomes ceil(n/2). Each
+    output voxel is the exact triple sum over the k**3 neighborhood, with
+    zeros outside bounds. Differentiable with respect to both the input
     and the kernel.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"conv3d input must be [c,D,H,W], got shape {x.shape}")
+    if x.ndim != 4 or 0 in x.shape[1:]:
+        raise ShapeError(f"conv3d input must be a [c,D,H,W] map with no zero extent, got shape {x.shape}")
     if kernel.ndim != 5:
         raise ShapeError(f"conv3d kernel must be [c_out,c_in,kd,kh,kw], got shape {kernel.shape}")
     c_out, kc, kd, kh, kw = kernel.shape
-    if not (kd == kh == kw):
-        raise ShapeError(f"conv3d kernel must be cubic, got shape {kernel.shape}")
+    if not (kd == kh == kw) or kd % 2 == 0:
+        raise ShapeError(f"conv3d kernel must be cubic and of odd size, got shape {kernel.shape}")
     if stride not in (1, 2):
         raise ArgumentError(f"conv3d stride must be 1 or 2, got {stride}")
-    if padding < 0:
-        raise ArgumentError(f"conv3d padding must be >= 0, got {padding}")
-    if stride == 2 and (kd != 1 or padding):
-        raise ArgumentError(f"conv3d stride 2 needs an unpadded 1x1x1 kernel, got k={kd}, padding={padding}")
+    if stride == 2 and kd != 1:
+        raise ArgumentError(f"conv3d stride 2 needs a 1x1x1 kernel, got k={kd}")
     c_in, d, h, w = x.shape
     if kc != c_in:
         raise ShapeError(f"kernel expects {kc} input channels, input has {c_in}")
-    out_sp = tuple(conv_output_extent(n, kd, stride, padding) for n in (d, h, w))
-    if min(out_sp) < 1:
-        raise ShapeError(f"conv3d output extent would be non-positive: {out_sp} from input {x.shape}")
 
     kdata = kernel.data
     dtype = x.data.dtype
     offsets = [(a, b, c) for a in range(kd) for b in range(kh) for c in range(kw)]
 
-    # The engine runs a stride-1 convolution on ``src``, the padded ``view``
+    # The engine runs a same-size convolution on ``src``, the padded ``view``
     # of x. A grid transfer reads only the voxels it outputs, so its view is
-    # the subsampled input, on the coarse grid. Every operand is built from it.
+    # the subsampled input, on the coarse grid. Every operand is built from
+    # it, and the output has its extent.
     coarse = (slice(None),) + (slice(None, None, stride),) * 3
     view = x.data[coarse]
+    out_sp = view.shape[1:]
+    padding = kd // 2
     src = _pad(view, (0, padding, padding, padding))
     sd, sh, sw = src.shape[1:]
     # Output voxel (i, j, l) sits at flat index q = i*sh*sw + j*sw + l of a
@@ -376,7 +370,7 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 1) -> Tens
         g_flat = np.zeros((c_out, s_max + sd * sh * sw), dtype=g.dtype)
         crop(g_flat[:, s_max : s_max + out_sp[0] * sh * sw])[...] = g
         taps_t = kdata.transpose(2, 3, 4, 1, 0).reshape(len(offsets), c_in, c_out).copy()
-        planes = np.empty((c_in, (sd - 2 * padding) * sh * sw), dtype=g.dtype)
+        planes = np.empty((c_in, out_sp[0] * sh * sw), dtype=g.dtype)
         _shift_sum(taps_t, g_flat, [q0 + s_max - s for s in shifts], planes)
         return planes.reshape(c_in, -1, sh, sw)[:, :, padding : sh - padding, padding : sw - padding]
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Manifest, VolumeRecord, FoldAssignment, load_volume, normalize, stratified_group_kfold
+from .data import Manifest, VolumeRecord, FoldAssignment, load_volume, normalize
 from .errors import ArgumentError, ConfigError, DivergenceError, StateError
 from .metrics import EvalMetrics, compute_metrics
 from .model import MgNetConfig, MgNetParams, build, forward
@@ -177,7 +177,6 @@ def _fold_seed(base: int, fold: int) -> int:
 class CvResult:
     """Per-fold held-out metrics and final training losses, in fold order."""
 
-    assignment: FoldAssignment
     fold_metrics: list[EvalMetrics]
     final_losses: list[float]
     summary: dict[str, float]
@@ -202,12 +201,12 @@ def summarize_folds(
 def cross_validate(
     model_config: MgNetConfig,
     manifest: Manifest,
-    k: int,
+    assignment: FoldAssignment,
     train_cfg: TrainConfig,
-    split_seed: int,
     workers: int = 1,
 ) -> CvResult:
-    """k rounds of train-on-(k-1)-folds / test-on-the-held-out-fold.
+    """k rounds of train-on-(k-1)-folds / test-on-the-held-out-fold, over
+    the folds of ``assignment``.
 
     Every round trains from a fresh per-fold initialization. Folds may run
     on worker threads; results are ordered by fold index either way, so
@@ -215,7 +214,6 @@ def cross_validate(
     """
     if workers < 1:
         raise ArgumentError(f"workers must be >= 1, got {workers}")
-    assignment = stratified_group_kfold(manifest, k, split_seed)
 
     def run_fold(fold: int) -> tuple[EvalMetrics, float]:
         train_records, test_records = assignment.split_records(manifest, fold)
@@ -231,11 +229,9 @@ def cross_validate(
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            folds = list(pool.map(run_fold, range(k)))
+            folds = list(pool.map(run_fold, range(assignment.k)))
     else:
-        folds = [run_fold(fold) for fold in range(k)]
+        folds = [run_fold(fold) for fold in range(assignment.k)]
     fold_metrics = [metrics for metrics, _ in folds]
     final_losses = [loss for _, loss in folds]
-    return CvResult(
-        assignment, fold_metrics, final_losses, summarize_folds(fold_metrics, final_losses)
-    )
+    return CvResult(fold_metrics, final_losses, summarize_folds(fold_metrics, final_losses))

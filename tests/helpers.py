@@ -125,7 +125,7 @@ def forward_zero_guess_reference(params: MgNetParams, volume: Tensor) -> Tensor:
         return relu(channel_norm(x)) if cfg.use_channel_norm else relu(x)
 
     p = params.by_name
-    f = act(conv3d(volume, p["input_kernel"], stride=1, padding=1))
+    f = act(conv3d(volume, p["input_kernel"]))
     u = Tensor(np.zeros((cfg.feature_channels,) + volume.shape[1:], dtype=volume.dtype), dtype=volume.dtype)
     for i in range(1, cfg.num_grids + 1):
         operator = p[f"level{i}.operator"]

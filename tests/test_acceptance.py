@@ -68,7 +68,7 @@ def test_criterion_1_gradient_suite(rng):
                 size=(3,)
                 + tuple((n + 2 * padding - ksize) // stride + 1 for n in (4, 5, 4))
             )
-            check_gradients(lambda: mg.weighted_sum(mg.conv3d(x, k, stride, padding), w), [x, k])
+            check_gradients(lambda: mg.weighted_sum(mg.conv3d(x, k, stride), w), [x, k])
 
         r = Tensor(rng.normal(size=(2, 3, 3, 3)) + 0.2 * np.sign(rng.normal(size=(2, 3, 3, 3))),
                    requires_grad=True, dtype=np.float64)
@@ -167,7 +167,8 @@ def test_criterion_4_synthetic_learning(separable_dataset):
         cfg = MgNetConfig(seed=0, **REDUCED_MODEL)
         tc = TrainConfig(learning_rate=0.1, batch_size=2, epochs=30, seed=0, log_every=0)
         assert tc.epochs <= 30
-        result = mg.cross_validate(cfg, separable_dataset, k=2, train_cfg=tc, split_seed=11)
+        assignment = mg.stratified_group_kfold(separable_dataset, 2, 11)
+        result = mg.cross_validate(cfg, separable_dataset, assignment, tc)
         elapsed = time.perf_counter() - t0
         print(f"time={elapsed:.1f} criterion=4 "
               + " ".join(f"{k}={v:.4f}" for k, v in result.summary.items()))

@@ -296,21 +296,38 @@ class TestErrors:
 
     def test_refused_allocation_exit_3(self, capsys, tmp_path):
         # 10^13 channels ask numpy for petabytes, refused before any page is
-        # touched; 10^19 grids overflow the index of the per-grid pass counts.
+        # touched.
         cfg = tmp_path / "huge.cfg"
-        for text in ("feature_channels=10000000000000\ndata_channels=10000000000000\n",
-                     "num_grids=10000000000000000000\n"):
-            cfg.write_text(text)
-            code, out, err = run(capsys, "params", "--config", str(cfg))
-            assert code == 3
-            assert out == ""
-            assert err.startswith("error: ") and err.count("\n") == 1
+        cfg.write_text("feature_channels=10000000000000\ndata_channels=10000000000000\n")
+        code, out, err = run(capsys, "params", "--config", str(cfg))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("grids", ["34", "10000000000000000000"])
+    def test_more_grids_than_halvings_exit_2(self, capsys, tmp_path, grids):
+        # Refused before smoothing_iters is expanded to one entry per grid.
+        cfg = tmp_path / "grids.cfg"
+        cfg.write_text(f"num_grids={grids}\n")
+        code, out, err = run(capsys, "params", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: num_grids must be from 1 to 33, got {grids}\n"
 
     def test_synth_extent_beyond_u32_exit_2(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
-        code, _, err = run(capsys, "synth", "--out", str(out_dir), "--size", "4294967296")
+        code, out, err = run(capsys, "synth", "--out", str(out_dir), "--size", "4294967296")
         assert code == 2
+        assert out == ""
         assert err.startswith("error: volume size") and err.count("\n") == 1
+        assert not out_dir.exists()
+
+    def test_synth_without_subjects_exit_2(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "synth", "--out", str(out_dir), "--subjects-per-class", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: n_subjects_per_class") and err.count("\n") == 1
         assert not out_dir.exists()
 
     def test_unreadable_config_exit_2(self, capsys, tmp_path):

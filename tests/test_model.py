@@ -60,6 +60,7 @@ class TestConfig:
             {"feature_channels": 4, "data_channels": 8},
             {"num_classes": 0},
             {"seed": -1},
+            {"num_grids": 34},
         ],
     )
     def test_invalid(self, overrides):
@@ -181,8 +182,8 @@ class TestRestrict:
         assert f2.shape == (2, 3, 3, 3)
 
     def test_91_to_46(self):
-        assert mg.conv_output_extent(91, 1, 2, 0) == 46
-        assert mg.conv_output_extent(91, 3, 2, 1) == 46  # same halving law
+        # ceil(n/2): what a padded 3x3x3 stride-2 conv, (91 + 2 - 3) // 2 + 1, gives too.
+        assert mg.level_shapes(tiny_config(), (91, 90, 1)) == [(91, 90, 1), (46, 45, 1)]
 
     def test_matches_composition_without_pooling(self, rng):
         params = mg.build(tiny_config())
@@ -191,10 +192,10 @@ class TestRestrict:
         f = Tensor(rng.normal(size=(2, 5, 5, 5)).astype(np.float32))
         u2, f2 = mg.restrict(u, f, *kernels, use_avg_pool=False)
         operator, prolongation, restriction, next_operator = kernels
-        u2_ref = mg.conv3d(u, prolongation, stride=2, padding=0)
+        u2_ref = mg.conv3d(u, prolongation, stride=2)
         residual = mg.sub(f, mg.conv3d(u, operator))
         f2_ref = mg.add(
-            mg.conv3d(residual, restriction, stride=2, padding=0),
+            mg.conv3d(residual, restriction, stride=2),
             mg.conv3d(u2_ref, next_operator),
         )
         assert np.array_equal(u2.data, u2_ref.data)
@@ -490,19 +491,22 @@ class TestCheckpoint:
             mg.load_checkpoint(path)
 
     def test_truncated_after_config_of_many_grids(self, tmp_path):
-        # The layout is walked entry by entry, so the missing first tensor
-        # is reported without listing 10^5 grids' kernels.
-        block = GOLDEN_CONFIG_BLOCK.replace(b"num_grids=2\nsmoothing_iters=2,1", b"num_grids=100000\nsmoothing_iters=2")
+        # A config of more grids than halvings (10^5, or more than an index
+        # holds) is refused before its per-grid pass counts or its kernel
+        # layout are expanded.
         path = tmp_path / "model.mgn3"
-        path.write_bytes(b"MGN3" + np.asarray([1, len(block)], dtype="<u4").tobytes() + block)
-        tracemalloc.start()
-        try:
-            with pytest.raises(FormatError, match="truncated while reading input_kernel rank"):
-                mg.load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        for grids in (b"100000", b"10000000000000000000"):
+            block = GOLDEN_CONFIG_BLOCK.replace(b"num_grids=2\nsmoothing_iters=2,1",
+                                                b"num_grids=" + grids + b"\nsmoothing_iters=2")
+            path.write_bytes(b"MGN3" + np.asarray([1, len(block)], dtype="<u4").tobytes() + block)
+            tracemalloc.start()
+            try:
+                with pytest.raises(FormatError, match="invalid checkpoint config: num_grids"):
+                    mg.load_checkpoint(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "model.mgn3"

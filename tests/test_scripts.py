@@ -84,24 +84,30 @@ def test_tracer_reads_the_tape_of_a_tiny_train(tmp_path):
     spans = json.loads(spans_path.read_text())["spans"]
     steps = [attrs for name, _, _, _, attrs in spans if name == "training.step"]
     assert steps and all(step["tape_bytes"] > 0 for step in steps)
-    assert any(name == "tensor.conv3d" and attrs.get("dir") == "bwd"
-               for name, _, _, _, attrs in spans)
+    # The per-layer metrics are named by conv kind and grid level: both
+    # convs the model builds must carry a level, forward and backward.
+    convs = [attrs for name, _, _, _, attrs in spans if name == "tensor.conv3d"]
+    for kind in ("conv3d_k3", "conv3d_k1s2"):
+        for direction in ("fwd", "bwd"):
+            picked = [a for a in convs if a["kind"] == kind and a["dir"] == direction]
+            assert picked and all(a["level"] >= 1 for a in picked), (kind, direction, picked)
 
 
 def test_benchmark_runs_a_workload_correctly(tmp_path):
     # perfbench/run.py reads src/ and BENCHMARK.json from its working
     # directory and writes its scratch files there, so it runs in a
-    # directory of links to the checkout.
+    # directory of links to the checkout. Each workload runs once.
     for name in ("src", "BENCHMARK.json"):
         (tmp_path / name).symlink_to(REPO / name)
-    done = subprocess.run(
-        [sys.executable, str(REPO / "perfbench" / "run.py"), "--workload", "cv-synth16",
-         "--seed", "1", "--seconds", "1", "--trace", "0"],
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
-    assert result["correct"] is True and result["failed"] == 0, result
+    for workload in ("cv-synth16", "train-gm-half-nopool"):
+        done = subprocess.run(
+            [sys.executable, str(REPO / "perfbench" / "run.py"), "--workload", workload,
+             "--seed", "1", "--seconds", "1", "--trace", "0"],
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, (workload, done.stderr)
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["correct"] is True and result["failed"] == 0, (workload, result)

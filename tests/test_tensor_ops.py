@@ -44,14 +44,14 @@ class TestConv3d:
         k = np.zeros((2, 2, 3, 3, 3), dtype=np.float32)
         k[0, 0, 1, 1, 1] = 1.0
         k[1, 1, 1, 1, 1] = 1.0
-        y = mg.conv3d(x, t(k), stride=1, padding=1)
+        y = mg.conv3d(x, t(k))
         assert np.array_equal(y.data, x.data)
 
     def test_all_ones_counts_padded_neighbors(self):
         # Integer sums of ones are exact in float32 regardless of order.
         x = t(np.ones((1, 3, 3, 3)))
         k = t(np.ones((1, 1, 3, 3, 3)))
-        y = mg.conv3d(x, k, stride=1, padding=1).data
+        y = mg.conv3d(x, k).data
         assert y[0, 1, 1, 1] == 27.0  # center
         assert y[0, 0, 1, 1] == 18.0  # face center
         assert y[0, 0, 0, 1] == 12.0  # edge center
@@ -62,14 +62,14 @@ class TestConv3d:
     def test_stride2_output_shape(self, rng):
         x = t(rng.normal(size=(2, 5, 5, 5)))
         k = t(rng.normal(size=(4, 2, 1, 1, 1)))
-        y = mg.conv3d(x, k, stride=2, padding=0)
+        y = mg.conv3d(x, k, stride=2)
         assert y.shape == (4, 3, 3, 3)
 
     @pytest.mark.parametrize("ksize,padding,stride", [(3, 1, 1), (1, 0, 1), (1, 0, 2)])
     def test_matches_reference(self, rng, stride, ksize, padding):
         x = rng.normal(size=(3, 4, 5, 3)).astype(np.float32)
         k = rng.normal(size=(2, 3, ksize, ksize, ksize)).astype(np.float32)
-        got = mg.conv3d(t(x), t(k), stride=stride, padding=padding).data
+        got = mg.conv3d(t(x), t(k), stride=stride).data
         want = conv3d_reference(x, k, stride, padding)
         assert np.abs(got - want).max() < 1e-5
 
@@ -85,13 +85,28 @@ class TestConv3d:
         with pytest.raises(ArgumentError):
             mg.conv3d(x, k, stride=3)
 
-    @pytest.mark.parametrize("ksize,padding", [(3, 1), (1, 1)])
-    def test_stride2_needs_unpadded_1x1x1_kernel(self, rng, ksize, padding):
+    def test_stride2_needs_1x1x1_kernel(self, rng):
         # Stride 2 is the grid transfer; no other kernel runs at stride 2.
         x = t(rng.normal(size=(2, 5, 5, 5)))
-        k = t(rng.normal(size=(3, 2) + (ksize,) * 3))
+        k = t(rng.normal(size=(3, 2, 3, 3, 3)))
         with pytest.raises(ArgumentError, match="stride 2"):
-            mg.conv3d(x, k, stride=2, padding=padding)
+            mg.conv3d(x, k, stride=2)
+
+    @pytest.mark.parametrize("ksize", [2, 4])
+    def test_even_kernel(self, rng, ksize):
+        # Zero padding k // 2 keeps the extent only for an odd kernel.
+        x = t(rng.normal(size=(2, 5, 5, 5)))
+        k = t(rng.normal(size=(3, 2) + (ksize,) * 3))
+        for stride in (1, 2):
+            with pytest.raises(ShapeError, match="odd size"):
+                mg.conv3d(x, k, stride=stride)
+
+    @pytest.mark.parametrize("shape", [(2, 0, 5, 5), (2, 5, 5, 0)])
+    def test_zero_extent(self, shape):
+        k = t(np.ones((3, 2, 3, 3, 3)))
+        for stride, kernel in ((1, k), (2, t(np.ones((3, 2, 1, 1, 1))))):
+            with pytest.raises(ShapeError, match="zero extent"):
+                mg.conv3d(t(np.ones(shape)), kernel, stride=stride)
 
     def test_linearity(self, rng):
         x = rng.normal(size=(2, 4, 4, 4)).astype(np.float32)
@@ -108,7 +123,7 @@ class TestConv3d:
         ksize, padding = (3, 1) if stride == 1 else (1, 0)
         x = Tensor(np.ones((1, n, 3, 4), dtype=np.float32))
         k = Tensor(np.ones((1, 1) + (ksize,) * 3, dtype=np.float32))
-        y = mg.conv3d(x, k, stride=stride, padding=padding)
+        y = mg.conv3d(x, k, stride=stride)
         for got, extent in zip(y.shape[1:], (n, 3, 4)):
             assert got == (extent + 2 * padding - ksize) // stride + 1
 
@@ -149,13 +164,10 @@ class TestConv3dFloat32Rounding:
             (64, 64, (12, 12, 12), 3, 1, 1),
             # The finest transfer of a 46x55x46 model: four column tiles.
             (16, 16, (46, 55, 46), 1, 2, 0),
-            # Several column tiles of unequal width (see _shift_sum).
-            (8, 8, (24, 24, 24), 3, 1, 2),
+            # Several column tiles of unequal width (see _shift_sum):
+            # 18,169 columns in 5 tiles.
+            (8, 8, (25, 25, 25), 3, 1, 1),
             (32, 32, (46, 55, 46), 3, 1, 1),
-            # The input adjoint's gather starts at x's first plane in the
-            # padded map: offset 0, and an offset past the largest shift.
-            (16, 16, (23, 28, 23), 3, 1, 0),
-            (2, 3, (4, 5, 6), 1, 1, 1),
         ],
     )
     @pytest.mark.parametrize("held", [False, True])
@@ -165,7 +177,7 @@ class TestConv3dFloat32Rounding:
         x = rng.normal(size=(c_in,) + spatial).astype(np.float32)
         bound = np.sqrt(1.0 / (c_in * ksize**3))
         k = rng.uniform(-bound, bound, size=(c_out, c_in) + (ksize,) * 3).astype(np.float32)
-        out_sp = tuple(mg.conv_output_extent(n, ksize, stride, padding) for n in spatial)
+        out_sp = tuple((n + 2 * padding - ksize) // stride + 1 for n in spatial)
         g = rng.normal(size=(c_out,) + out_sp).astype(np.float32)
         want_out, want_gx, want_gk = conv3d_taps_reference(x, k, g, stride, padding)
 
@@ -175,7 +187,7 @@ class TestConv3dFloat32Rounding:
         if held:
             xt.grad = earlier.copy()
         with mg.record():
-            y = mg.conv3d(xt, kt, stride=stride, padding=padding)
+            y = mg.conv3d(xt, kt, stride=stride)
             loss = weighted_sum(y, g)
         # Read y before backward, which releases it.
         assert y.dtype == np.float32

@@ -181,9 +181,10 @@ class TestCrossValidate:
     def test_two_folds_partition_subjects(self, tiny_dataset):
         cfg = tiny_model_config()
         tc = TrainConfig(learning_rate=0.02, batch_size=2, epochs=2, seed=1, log_every=0)
-        result = mg.cross_validate(cfg, tiny_dataset, k=2, train_cfg=tc, split_seed=3)
+        assignment = mg.stratified_group_kfold(tiny_dataset, 2, 3)
+        result = mg.cross_validate(cfg, tiny_dataset, assignment, tc)
         assert len(result.fold_metrics) == 2
-        test_sets = [set(result.assignment.subjects_in(f)) for f in range(2)]
+        test_sets = [set(assignment.subjects_in(f)) for f in range(2)]
         assert test_sets[0].isdisjoint(test_sets[1])
         assert test_sets[0] | test_sets[1] == set(tiny_dataset.subjects())
         for key in ("mean_accuracy", "std_accuracy", "mean_auc", "std_auc",
@@ -195,8 +196,9 @@ class TestCrossValidate:
     def test_workers_do_not_change_results(self, tiny_dataset):
         cfg = tiny_model_config()
         tc = TrainConfig(learning_rate=0.02, batch_size=2, epochs=2, seed=1, log_every=0)
-        serial = mg.cross_validate(cfg, tiny_dataset, k=2, train_cfg=tc, split_seed=3, workers=1)
-        threaded = mg.cross_validate(cfg, tiny_dataset, k=2, train_cfg=tc, split_seed=3, workers=2)
+        assignment = mg.stratified_group_kfold(tiny_dataset, 2, 3)
+        serial = mg.cross_validate(cfg, tiny_dataset, assignment, tc, workers=1)
+        threaded = mg.cross_validate(cfg, tiny_dataset, assignment, tc, workers=2)
         assert serial.fold_metrics == threaded.fold_metrics
         assert serial.final_losses == threaded.final_losses
         assert all(np.isfinite(loss) for loss in serial.final_losses)
