@@ -27,7 +27,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .data import FoldAssignment, atomic_write, load_manifest, stratified_group_kfold, synth_generate
-from .errors import ConfigError, MgnetError
+from .errors import ConfigError, MgnetError, ShapeError
 from .metrics import EvalMetrics
 from .model import (
     MgNetConfig,
@@ -146,6 +146,13 @@ def _require(settings: dict, key: str) -> object:
     return settings[key]
 
 
+def _check_channels(manifest, config: MgNetConfig) -> None:
+    """Refuse, before any output, volumes whose channels the model does not read."""
+    if manifest.geometry and manifest.geometry[0] != config.input_channels:
+        expected, channels = config.input_channels, manifest.geometry[0]
+        raise ShapeError(f"model expects {expected} input channel(s), volumes have {channels}")
+
+
 def _float_repr(v: float) -> str:
     return repr(float(v))
 
@@ -233,6 +240,7 @@ def cmd_train(args) -> int:
     train_records, eval_records = assignment.split_records(manifest, fold)
     model_cfg = _config(MgNetConfig, settings, "seed_model")
     train_cfg = _config(TrainConfig, settings, "seed_train")
+    _check_channels(manifest, model_cfg)
     out_dir = Path(_require(settings, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     print(f"seed_model={settings['seed_model']}")
@@ -275,6 +283,7 @@ def cmd_eval(args) -> int:
     settings = _resolve(args)
     params = load_checkpoint(_require(settings, "checkpoint"))
     manifest = load_manifest(_require(settings, "manifest"))
+    _check_channels(manifest, params.config)
     records = manifest.records
     folds, fold = settings.get("folds"), settings.get("fold")
     if (folds is None) != (fold is None):
@@ -310,6 +319,7 @@ def cmd_cv(args) -> int:
     assignment = stratified_group_kfold(manifest, settings["k"], settings["seed_split"])
     model_cfg = _config(MgNetConfig, settings, "seed_model")
     train_cfg = _config(TrainConfig, settings, "seed_train")
+    _check_channels(manifest, model_cfg)
     out = settings.get("out")
     if out:
         Path(out).mkdir(parents=True, exist_ok=True)

@@ -208,30 +208,42 @@ def _pad(arr: np.ndarray, widths: Sequence[int]) -> np.ndarray:
     return out
 
 
-# Target width, in output columns, of one tile of `_shift_sum`. A tile's
+# Target width, in output columns, of one tile of `_correlate`. A tile's
 # accumulator and operand windows stay in cache across its taps. The width
 # is set in columns, not bytes: narrower tiles made wide channel counts
 # slower, and 768-column tiles at c=32 changed the float32 rounding of BLAS.
 _TILE_COLUMNS = 3072
 
 
-def _shift_sum(taps: np.ndarray, src: np.ndarray, shifts: Sequence[int], out: np.ndarray) -> None:
-    """Set ``out[:, j] = sum_t taps[t] @ src[:, shifts[t] + j]``, tap 0 written
-    and the others added in order, in max(1, n // _TILE_COLUMNS) balanced
-    column tiles with all taps per tile. numpy's matmul has no BLAS path for
-    an inner extent of 1; a broadcast product rounds the same single term.
+def _correlate(arr: np.ndarray, taps: np.ndarray, offsets: Sequence[tuple[int, int, int]], padding: int):
+    """``out[:, i, j, l] = sum_t taps[t] @ padded[:, i + a, j + b, l + c]`` with
+    ``(a, b, c) = offsets[t]``, on ``arr`` zero-padded by ``padding``: tap 0
+    first, the others added in order. Voxel (i, j, l) is flat column
+    q = i*Hp*Wp + j*Wp + l of the padded layout and tap t reads column
+    q + s_t, so each tap is one GEMM on a contiguous window. The columns run
+    in max(1, n // _TILE_COLUMNS) balanced tiles; each sums its taps in a
+    contiguous buffer and is stored once, and the columns that wrap across
+    rows are cropped. numpy's matmul has no BLAS path for an inner extent
+    of 1; a broadcast product rounds the same single term.
     """
+    d, h, w = arr.shape[1:]
+    hp, wp = h + 2 * padding, w + 2 * padding
+    flat = _pad(arr, (0, padding, padding, padding)).reshape(arr.shape[0], -1)
+    n = (d - 1) * hp * wp + (h - 1) * wp + w
+    shifts = [a * hp * wp + b * wp + c for a, b, c in offsets]
     product = np.multiply if taps.shape[2] == 1 else np.matmul
-    n = out.shape[1]
+    out = np.empty((taps.shape[1], d * hp * wp), dtype=arr.dtype)
     count = max(1, n // _TILE_COLUMNS)
     edges = [k * n // count for k in range(count + 1)]
-    part = np.empty((out.shape[0], -(-n // count)), dtype=out.dtype)
+    acc, part = np.empty((2, taps.shape[1], -(-n // count)), dtype=arr.dtype)
     for j0, j1 in zip(edges[:-1], edges[1:]):
-        tile_part = part[:, : j1 - j0]
-        product(taps[0], src[:, shifts[0] + j0 : shifts[0] + j1], out=out[:, j0:j1])
+        tile_acc, tile_part = acc[:, : j1 - j0], part[:, : j1 - j0]
+        product(taps[0], flat[:, shifts[0] + j0 : shifts[0] + j1], out=tile_acc)
         for t in range(1, len(shifts)):
-            product(taps[t], src[:, shifts[t] + j0 : shifts[t] + j1], out=tile_part)
-            out[:, j0:j1] += tile_part
+            product(taps[t], flat[:, shifts[t] + j0 : shifts[t] + j1], out=tile_part)
+            tile_acc += tile_part
+        out[:, j0:j1] = tile_acc
+    return out.reshape(-1, d, hp, wp)[:, :, :h, :w]
 
 
 # One thread runs conv3d kernel adjoints beside the input adjoints. The
@@ -301,42 +313,24 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     dtype = x.data.dtype
     offsets = [(a, b, c) for a in range(kd) for b in range(kh) for c in range(kw)]
 
-    # The engine runs a same-size convolution on ``src``, the padded ``view``
-    # of x. A grid transfer reads only the voxels it outputs, so its view is
-    # the subsampled input, on the coarse grid. Every operand is built from
-    # it, and the output has its extent.
+    # The engine runs a same-size convolution on ``view``: x, or for a grid
+    # transfer the voxels it outputs. Each tap's product is one GEMM over
+    # the input channels, summed in offsets order: the float32 sums of a
+    # per-tap loop over strided copies from zeros. Adding +0 turns the -0
+    # a first product can leave into that loop's +0.
     coarse = (slice(None),) + (slice(None, None, stride),) * 3
     view = x.data[coarse]
     out_sp = view.shape[1:]
     padding = kd // 2
-    src = _pad(view, (0, padding, padding, padding))
-    sd, sh, sw = src.shape[1:]
-    # Output voxel (i, j, l) sits at flat index q = i*sh*sw + j*sw + l of a
-    # buffer laid out on src's H x W plane, and tap (a, b, c) reads src's
-    # flat index q + shift. Each tap is then one GEMM on a contiguous window
-    # of the flattened map; the window's columns with j or l past the
-    # output extent wrap across rows and are cropped away.
-    n = (out_sp[0] - 1) * sh * sw + (out_sp[1] - 1) * sw + out_sp[2]
-    shifts = [a * sh * sw + b * sw + c for a, b, c in offsets]
-
-    def crop(buf: np.ndarray) -> np.ndarray:
-        return buf.reshape(buf.shape[0], out_sp[0], sh, sw)[:, :, : out_sp[1], : out_sp[2]]
-
-    # Taps are summed in offsets order, and each tap's product is one GEMM
-    # over the input channels: the float32 sums of a per-tap loop over
-    # strided copies, so the outputs agree bit for bit. That loop starts
-    # from zeros; adding +0 at the crop turns the -0 a first product can
-    # leave into its +0 and changes nothing else.
     taps = kdata.transpose(2, 3, 4, 0, 1).reshape(len(offsets), c_out, c_in).copy()
-    acc = np.empty((c_out, out_sp[0] * sh * sw), dtype=dtype)
-    _shift_sum(taps, src.reshape(c_in, -1), shifts, acc[:, :n])
+    value = _correlate(view, taps, offsets, padding) + dtype.type(0)
 
     def kernel_grad(g: np.ndarray) -> np.ndarray:
         # Per tap, gk = g [c_out, oD*oH*oW] @ window [oD*oH*oW, c_in]. The
-        # windows come from a channels-last copy of src, so a copy moves
-        # whole c_in rows; it is rebuilt here from view, which this adjoint
-        # keeps anyway, instead of keeping src alive until backward. Each GEMM's
-        # operands are those of a per-tap tensordot, and so is its rounding.
+        # windows come from a channels-last padded copy of view, so a copy
+        # moves whole c_in rows; it is built here, not kept on the tape. Each
+        # GEMM's operands are those of a per-tap tensordot, and so is its
+        # rounding.
         src_cl = _pad(view.transpose(1, 2, 3, 0), (padding, padding, padding, 0))
         # With one output row BLAS runs a matrix-vector product and splits
         # its D*H*W sum across threads; a zero second row keeps it the GEMM
@@ -346,12 +340,12 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
         if c_out == 1:
             g_rows = np.concatenate([g_rows, np.zeros_like(g_rows)])
         gk = np.empty_like(kdata)
-        # One slab per (b, c): src's planes cut to the rows and columns that
-        # taps (., b, c) read. Tap (a, b, c) reads the contiguous run of the
-        # slab's rows from plane a on, so a 3x3x3 kernel makes 9 copies
+        # One slab per (b, c): the padded planes cut to the rows and columns
+        # that taps (., b, c) read. Tap (a, b, c) reads the contiguous run of
+        # the slab's rows from plane a on, so a 3x3x3 kernel makes 9 copies
         # instead of 27.
         plane = out_sp[1] * out_sp[2]
-        slab = np.empty((sd,) + out_sp[1:] + (c_in,), dtype=dtype)
+        slab = np.empty(src_cl.shape[:1] + out_sp[1:] + (c_in,), dtype=dtype)
         rows = slab.reshape(-1, c_in)
         for b in range(kh):
             for c in range(kw):
@@ -361,18 +355,11 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
         return gk
 
     def src_grad(g: np.ndarray) -> np.ndarray:
-        # A convolution with the transposed taps: src voxel p gets tap t
-        # from column p - s_t of g on the flat layout. That layout is put
-        # behind s_max zero columns, with zeros on the wrapped columns the
-        # crop drops (a 1x1x1 kernel keeps them all). Voxel q0 + j of x's
-        # own planes, from q0 on, then gathers column q0 + s_max - s_t + j.
-        s_max, q0 = shifts[-1], padding * sh * sw
-        g_flat = np.zeros((c_out, s_max + sd * sh * sw), dtype=g.dtype)
-        crop(g_flat[:, s_max : s_max + out_sp[0] * sh * sw])[...] = g
-        taps_t = kdata.transpose(2, 3, 4, 1, 0).reshape(len(offsets), c_in, c_out).copy()
-        planes = np.empty((c_in, out_sp[0] * sh * sw), dtype=g.dtype)
-        _shift_sum(taps_t, g_flat, [q0 + s_max - s for s in shifts], planes)
-        return planes.reshape(c_in, -1, sh, sw)[:, :, padding : sh - padding, padding : sw - padding]
+        # Output voxel i read x at i + o_t - padding, so x's voxel m gets
+        # taps[t].T @ g at m - o_t + padding: g correlated with the
+        # transposed taps at the mirrored offsets k - 1 - o_t, in tap order.
+        mirrored = [(kd - 1 - a, kd - 1 - b, kd - 1 - c) for a, b, c in offsets]
+        return _correlate(g, taps.transpose(0, 2, 1).copy(), mirrored, padding)
 
     def adjoint(g: np.ndarray) -> None:
         # On a large enough conv, the kernel gradient is computed on the
@@ -400,7 +387,7 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
         if pending is not None:
             _accumulate(kernel, pending.result(), owned=True)
 
-    return _attach(crop(acc) + dtype.type(0), (x, kernel), adjoint)
+    return _attach(value, (x, kernel), adjoint)
 
 
 def relu(x: Tensor) -> Tensor:

