@@ -58,6 +58,11 @@ TRANSFER_KERNEL_SIZE = 1
 # VOL3 extents are u32, and by level_shapes 32 transfers bring any of them
 # to 1, so a grid past the 33rd would only repeat a 1x1x1 map.
 MAX_GRIDS = 33
+# The paper runs 2 smoothing passes per grid. Each pass adds a smoother
+# kernel and two 3x3x3 convs per grid to every forward and keeps a feature
+# map on the tape, so 64 passes is already 32x the paper's network per
+# grid. A larger count is refused before `build` allocates a kernel per pass.
+MAX_SMOOTHING_ITERS = 64
 
 
 @dataclass(frozen=True)
@@ -96,8 +101,10 @@ class MgNetConfig:
             raise ConfigError(
                 f"smoothing_iters has {len(self.smoothing_iters)} entries for {self.num_grids} grids"
             )
-        if any(v < 1 for v in self.smoothing_iters):
-            raise ConfigError(f"smoothing_iters must all be >= 1, got {self.smoothing_iters}")
+        if any(not 1 <= v <= MAX_SMOOTHING_ITERS for v in self.smoothing_iters):
+            raise ConfigError(
+                f"smoothing_iters must all be from 1 to {MAX_SMOOTHING_ITERS}, got {self.smoothing_iters}"
+            )
         for name in ("feature_channels", "data_channels", "input_channels", "num_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

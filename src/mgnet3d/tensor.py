@@ -208,11 +208,20 @@ def _pad(arr: np.ndarray, widths: Sequence[int]) -> np.ndarray:
     return out
 
 
-# Target width, in output columns, of one tile of `_correlate`. A tile's
-# accumulator and operand windows stay in cache across its taps. The width
-# is set in columns, not bytes: narrower tiles made wide channel counts
-# slower, and 768-column tiles at c=32 changed the float32 rounding of BLAS.
+# Widest tile of `_correlate`, in output columns. A tile's accumulator and
+# operand windows stay in cache across its taps. The width is set in
+# columns, not bytes: narrower tiles made wide channel counts slower, and
+# 768-column tiles at c=32 changed the float32 rounding of BLAS. A 16x16
+# GEMM took 3x as long at 4096-5146 columns as at 2573-3000.
 _TILE_COLUMNS = 3072
+
+
+def _tiles(n: int, width: int) -> list[tuple[int, int]]:
+    """``range(n)`` cut into ceil(n / width) balanced (start, stop) tiles:
+    none wider than ``width``, and widths differing by at most one."""
+    count = -(-n // width)
+    edges = [k * n // count for k in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _correlate(arr: np.ndarray, taps: np.ndarray, offsets: Sequence[tuple[int, int, int]], padding: int):
@@ -220,27 +229,35 @@ def _correlate(arr: np.ndarray, taps: np.ndarray, offsets: Sequence[tuple[int, i
     ``(a, b, c) = offsets[t]``, on ``arr`` zero-padded by ``padding``: tap 0
     first, the others added in order. Voxel (i, j, l) is flat column
     q = i*Hp*Wp + j*Wp + l of the padded layout and tap t reads column
-    q + s_t, so each tap is one GEMM on a contiguous window. The columns run
-    in max(1, n // _TILE_COLUMNS) balanced tiles; each sums its taps in a
-    contiguous buffer and is stored once, and the columns that wrap across
-    rows are cropped. numpy's matmul has no BLAS path for an inner extent
-    of 1; a broadcast product rounds the same single term.
+    q + s_t, so each tap is one GEMM on a contiguous window. The n columns
+    run in ceil(n / _TILE_COLUMNS) balanced tiles, none wider than
+    _TILE_COLUMNS; each sums its taps in buffers that are contiguous
+    prefixes of one scratch array and is stored once, and the columns that
+    wrap across rows are cropped.
     """
     d, h, w = arr.shape[1:]
     hp, wp = h + 2 * padding, w + 2 * padding
     flat = _pad(arr, (0, padding, padding, padding)).reshape(arr.shape[0], -1)
+    if taps.shape[2] == 1:
+        # numpy's matmul has no BLAS path for an inner extent of 1, and its
+        # broadcast product copies its operands on tiles narrower than 2731
+        # columns. With a zero channel the product is a BLAS GEMM that still
+        # rounds its one term once; a -0 term comes out +0, as in a sum
+        # from zeros.
+        flat = np.concatenate([flat, np.zeros_like(flat)])
+        taps = np.concatenate([taps, np.zeros_like(taps)], axis=2)
     n = (d - 1) * hp * wp + (h - 1) * wp + w
     shifts = [a * hp * wp + b * wp + c for a, b, c in offsets]
-    product = np.multiply if taps.shape[2] == 1 else np.matmul
-    out = np.empty((taps.shape[1], d * hp * wp), dtype=arr.dtype)
-    count = max(1, n // _TILE_COLUMNS)
-    edges = [k * n // count for k in range(count + 1)]
-    acc, part = np.empty((2, taps.shape[1], -(-n // count)), dtype=arr.dtype)
-    for j0, j1 in zip(edges[:-1], edges[1:]):
-        tile_acc, tile_part = acc[:, : j1 - j0], part[:, : j1 - j0]
-        product(taps[0], flat[:, shifts[0] + j0 : shifts[0] + j1], out=tile_acc)
+    rows = taps.shape[1]
+    out = np.empty((rows, d * hp * wp), dtype=arr.dtype)
+    tiles = _tiles(n, _TILE_COLUMNS)
+    acc, part = np.empty((2, rows * max(j1 - j0 for j0, j1 in tiles)), dtype=arr.dtype)
+    for j0, j1 in tiles:
+        size = rows * (j1 - j0)
+        tile_acc, tile_part = acc[:size].reshape(rows, -1), part[:size].reshape(rows, -1)
+        np.matmul(taps[0], flat[:, shifts[0] + j0 : shifts[0] + j1], out=tile_acc)
         for t in range(1, len(shifts)):
-            product(taps[t], flat[:, shifts[t] + j0 : shifts[t] + j1], out=tile_part)
+            np.matmul(taps[t], flat[:, shifts[t] + j0 : shifts[t] + j1], out=tile_part)
             tile_acc += tile_part
         out[:, j0:j1] = tile_acc
     return out.reshape(-1, d, hp, wp)[:, :, :h, :w]
@@ -439,21 +456,28 @@ def scale(x: Tensor, factor: float) -> Tensor:
 def _box_sum(arr: np.ndarray) -> np.ndarray:
     """Sum of the 3x3x3 neighborhood around each voxel, zeros outside bounds.
 
-    The flat layout of conv3d: on the padded map flattened per channel,
-    neighbor (a, b, c) of every voxel is one contiguous window at shift
-    a*Hp*Wp + b*Wp + c. The windows are added in (a, b, c) order, and +0
-    is added at the crop, so the sums are those of a loop from zeros.
+    The flat layout of conv3d, with the channels laid end to end: on the
+    whole padded map flattened, neighbor (a, b, c) of every voxel of every
+    channel is one contiguous window at shift a*Hp*Wp + b*Wp + c. The
+    windows are added in (a, b, c) order into a contiguous accumulator,
+    and +0 is added at the crop, so the sums are those of a loop from
+    zeros. The accumulator runs in balanced tiles of at most
+    ch * _TILE_COLUMNS elements, each summing all windows while it stays
+    in cache. The elements that wrap across rows, planes or channels are
+    cropped.
     """
     ch, d, h, w = arr.shape
     hp, wp = h + 2, w + 2
-    flat = _pad(arr, (0, 1, 1, 1)).reshape(ch, -1)
-    n = (d - 1) * hp * wp + (h - 1) * wp + w
+    flat = _pad(arr, (0, 1, 1, 1)).reshape(-1)
     shifts = [a * hp * wp + b * wp + c for a in range(3) for b in range(3) for c in range(3)]
-    acc = np.empty((ch, d * hp * wp), dtype=arr.dtype)
-    np.copyto(acc[:, :n], flat[:, :n])
-    for s in shifts[1:]:
-        acc[:, :n] += flat[:, s : s + n]
-    return acc.reshape(ch, d, hp, wp)[:, :, :h, :w] + arr.dtype.type(0)
+    n = flat.size - shifts[-1]
+    acc = np.empty_like(flat)
+    for j0, j1 in _tiles(n, ch * _TILE_COLUMNS):
+        tile = acc[j0:j1]
+        np.copyto(tile, flat[j0:j1])
+        for s in shifts[1:]:
+            tile += flat[s + j0 : s + j1]
+    return acc.reshape(ch, d + 2, hp, wp)[:, :d, :h, :w] + arr.dtype.type(0)
 
 
 def avg_pool3d(x: Tensor) -> Tensor:

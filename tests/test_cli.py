@@ -314,6 +314,15 @@ class TestErrors:
         assert out == ""
         assert err == f"error: num_grids must be from 1 to 33, got {grids}\n"
 
+    def test_more_smoothing_passes_than_max_exit_2(self, capsys, tmp_path):
+        # Refused before build allocates one smoother kernel per pass.
+        cfg = tmp_path / "passes.cfg"
+        cfg.write_text("num_grids=2\nsmoothing_iters=2,65\nfeature_channels=2\ndata_channels=2\n")
+        code, out, err = run(capsys, "params", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == "error: smoothing_iters must all be from 1 to 64, got (2, 65)\n"
+
     def test_synth_extent_beyond_u32_exit_2(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
         code, out, err = run(capsys, "synth", "--out", str(out_dir), "--size", "4294967296")

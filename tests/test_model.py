@@ -61,6 +61,8 @@ class TestConfig:
             {"num_classes": 0},
             {"seed": -1},
             {"num_grids": 34},
+            {"smoothing_iters": (2, 65)},
+            {"smoothing_iters": 10**19},
         ],
     )
     def test_invalid(self, overrides):
@@ -507,6 +509,21 @@ class TestCheckpoint:
             finally:
                 tracemalloc.stop()
             assert peak < 16 * 2**20
+
+    def test_truncated_after_config_of_many_passes(self, tmp_path):
+        # A pass count past MAX_SMOOTHING_ITERS is refused before the kernel
+        # layout is walked, not read as a truncated file.
+        path = tmp_path / "model.mgn3"
+        block = GOLDEN_CONFIG_BLOCK.replace(b"smoothing_iters=2,1", b"smoothing_iters=2,10000000000000000000")
+        path.write_bytes(b"MGN3" + np.asarray([1, len(block)], dtype="<u4").tobytes() + block)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="invalid checkpoint config: smoothing_iters"):
+                mg.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "model.mgn3"

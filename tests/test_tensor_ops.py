@@ -197,12 +197,47 @@ class TestConv3dFloat32Rounding:
             (16, 16, (1, 1, 1), 3, 1, 1),
             (2, 3, (1, 4, 1), 3, 1, 1),
             (2, 2, (3, 1, 5), 5, 1, 2),
+            # Just above 2T columns: 6,148 in three tiles of unequal width.
+            (16, 16, (8, 29, 23), 3, 1, 1),
+            # 18,666 columns in 7 tiles at c=32.
+            (32, 32, (24, 28, 24), 3, 1, 1),
         ],
     )
     @pytest.mark.parametrize("held", [False, True])
     def test_bitwise_equal_to_tap_loop(
         self, rng, c_in, c_out, spatial, ksize, stride, padding, held
     ):
+        self.check(rng, c_in, c_out, spatial, ksize, stride, padding, held)
+
+    def test_lift_conv_of_46x55x46_model(self, rng):
+        # 41 tiles of products with one input channel. The volume takes no
+        # gradient, and a single-row input adjoint is not pinned (README,
+        # Tensor engine).
+        self.check(rng, 1, 16, (46, 55, 46), 3, 1, 1, held=False, input_grad=False)
+
+    # Maps of n = kT - 1 and kT + 1 flat columns (n = (D-1)*Hp*Wp +
+    # (H-1)*Wp + W, T = _TILE_COLUMNS): the last column of k tiles, and the
+    # first of k + 1 tiles of unequal width. The 1->4 conv runs the
+    # one-input-channel product; its single-row input adjoint is not pinned.
+    TILE_EDGES = {
+        (63, 5, 5): (1, -1),
+        (25, 3, 23): (1, 1),
+        (1, 5, 1227): (2, -1),
+        (1, 9, 681): (2, 1),
+        (79, 7, 11): (3, -1),
+        (63, 5, 19): (3, 1),
+    }
+
+    @pytest.mark.parametrize("spatial", list(TILE_EDGES))
+    @pytest.mark.parametrize("c_in,c_out", [(2, 2), (1, 4)])
+    def test_tile_edges(self, rng, spatial, c_in, c_out):
+        d, h, w = spatial
+        n = (d - 1) * (h + 2) * (w + 2) + (h - 1) * (w + 2) + w
+        tiles, off = self.TILE_EDGES[spatial]
+        assert n == tiles * mg.tensor._TILE_COLUMNS + off
+        self.check(rng, c_in, c_out, spatial, 3, 1, 1, held=False, input_grad=c_in > 1)
+
+    def check(self, rng, c_in, c_out, spatial, ksize, stride, padding, held, input_grad=True):
         x = rng.normal(size=(c_in,) + spatial).astype(np.float32)
         bound = np.sqrt(1.0 / (c_in * ksize**3))
         k = rng.uniform(-bound, bound, size=(c_out, c_in) + (ksize,) * 3).astype(np.float32)
@@ -210,7 +245,7 @@ class TestConv3dFloat32Rounding:
         g = rng.normal(size=(c_out,) + out_sp).astype(np.float32)
         want_out, want_gx, want_gk = conv3d_taps_reference(x, k, g, stride, padding)
 
-        xt, kt = t(x, requires_grad=True), t(k, requires_grad=True)
+        xt, kt = t(x, requires_grad=input_grad), t(k, requires_grad=True)
         # A gradient the input already holds (another consumer's) is added to.
         earlier = rng.normal(size=x.shape).astype(np.float32) if held else np.zeros_like(x)
         if held:
@@ -222,9 +257,11 @@ class TestConv3dFloat32Rounding:
         assert y.dtype == np.float32
         assert np.array_equal(y.data, want_out)
         mg.backward(loss)
-        assert xt.grad.dtype == kt.grad.dtype == np.float32
-        assert np.array_equal(xt.grad, earlier + want_gx)
+        assert kt.grad.dtype == np.float32
         assert np.array_equal(kt.grad, want_gk)
+        if input_grad:
+            assert xt.grad.dtype == np.float32
+            assert np.array_equal(xt.grad, earlier + want_gx)
 
 
 class TestConv3dThreadIndependence:
@@ -443,7 +480,7 @@ class TestAvgPool:
         assert np.abs(got - avg_pool3d_reference(x)).max() < 1e-6
 
     @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 2, 3, 4), (3, 5, 9, 7), (16, 8, 8, 8),
-                                       (2, 16, 16, 16)])
+                                       (2, 16, 16, 16), (16, 4, 4, 4)])
     def test_bitwise_equal_to_strided_box_sum(self, rng, shape):
         x = rng.normal(size=shape).astype(np.float32)
         x.flat[::5] = -0.0
