@@ -94,9 +94,6 @@ class MgNetConfig:
         else:
             iters = tuple(int(v) for v in self.smoothing_iters)
         object.__setattr__(self, "smoothing_iters", iters)
-        self.validate()
-
-    def validate(self) -> None:
         if len(self.smoothing_iters) != self.num_grids:
             raise ConfigError(
                 f"smoothing_iters has {len(self.smoothing_iters)} entries for {self.num_grids} grids"

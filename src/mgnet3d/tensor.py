@@ -488,7 +488,10 @@ def avg_pool3d(x: Tensor) -> Tensor:
     """
     if x.ndim != 4:
         raise ShapeError(f"avg_pool3d input must be [c,D,H,W], got shape {x.shape}")
-    counts = _box_sum(np.ones((1,) + x.shape[1:], x.data.dtype))
+    # Each divisor is the product of the in-bounds neighbor counts (1, 2 or
+    # 3) along the three axes: small integers, exact in float32.
+    d, h, w = (1 + (i > 0) + (i < i.size - 1) for i in map(np.arange, x.shape[1:]))
+    counts = (d[:, None, None] * h[:, None] * w).astype(x.data.dtype)[None]
 
     def adjoint(g: np.ndarray) -> None:
         # Window membership is symmetric, so the adjoint is the box sum of

@@ -48,9 +48,6 @@ class TrainConfig:
     log_every: int = 1
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if not np.isfinite(self.learning_rate):
             raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate < 0:

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: pipelines, exit codes, and idempotent output."""
 
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +236,8 @@ class TestCv:
             assert lines[lines.index(f"fold={fold}") + 1].startswith("final_loss=")
         assert any(l.startswith("mean_final_loss=") for l in lines)
         assert any(l.startswith("std_final_loss=") for l in lines)
+        assert "folds=2" in lines
+        assert any(l.startswith("mean_accuracy=") for l in lines)
 
     def test_out_is_a_file_exits_3_before_training(self, capsys, dataset, small_cfg, tmp_path):
         blocker = tmp_path / "report"
@@ -625,3 +629,25 @@ class TestBinaryHead:
         assert "epoch=" not in out and "fold=" not in out
         assert not (run_dir / "checkpoint.mgn3").exists()
         assert not (run_dir / "history.log").exists()
+
+
+def test_readme_commands_parse():
+    # Every `mgnet3d` line of the README's bash blocks (continuations
+    # joined) parses, and each config file it names, relative to the
+    # checkout, loads. The README tours every command.
+    repo = Path(__file__).resolve().parents[1]
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", (repo / "README.md").read_text(encoding="utf-8"), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["mgnet3d"]:
+                commands.append(argv[1:])
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: mgnet3d {shlex.join(argv)}")
+        if args.config:
+            assert cli.parse_config_file(repo / args.config)
+    assert {argv[0] for argv in commands} == {"synth", "split", "train", "eval", "params", "cv"}

@@ -1,5 +1,5 @@
-"""Smoke runs of the experiment scripts in scripts/, of the benchmark and
-of its tracer, at a tiny size."""
+"""Smoke runs of scripts/nudge_ensemble.py, of the benchmark and of its
+tracer, at a tiny size."""
 
 import json
 import os
@@ -27,25 +27,6 @@ def run_python(*argv):
         text=True,
         timeout=300,
     )
-
-
-@pytest.mark.parametrize(
-    "script,reports",
-    [
-        ("run_synthetic_cv.py", ["cv_report.txt"]),
-        (
-            "ablation_avg_pool.py",
-            ["with_average_pooling/cv_report.txt", "without_average_pooling/cv_report.txt"],
-        ),
-    ],
-)
-def test_script_writes_reports(tmp_path, script, reports):
-    done = run_python(REPO / "scripts" / script, "--out", tmp_path, *TINY)
-    assert done.returncode == 0, done.stderr
-    for report in reports:
-        lines = (tmp_path / report).read_text().splitlines()
-        assert "folds=2" in lines
-        assert any(line.startswith("mean_accuracy=") for line in lines)
 
 
 def test_nudge_ensemble_prints_one_result_per_nudge():

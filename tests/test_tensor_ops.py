@@ -480,7 +480,7 @@ class TestAvgPool:
         assert np.abs(got - avg_pool3d_reference(x)).max() < 1e-6
 
     @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 2, 3, 4), (3, 5, 9, 7), (16, 8, 8, 8),
-                                       (2, 16, 16, 16), (16, 4, 4, 4)])
+                                       (2, 16, 16, 16), (16, 4, 4, 4), (1, 4, 2, 5)])
     def test_bitwise_equal_to_strided_box_sum(self, rng, shape):
         x = rng.normal(size=shape).astype(np.float32)
         x.flat[::5] = -0.0
