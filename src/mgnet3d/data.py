@@ -395,9 +395,18 @@ def synth_generate(
                 base[mask] -= effect_size
             for j in range(scans_per_subject):
                 scan_id = f"s{j}"
-                vol = base + rng.normal(0.0, noise_std, size=spatial)
+                # Every later command refuses a non-finite voxel, so a
+                # scan that overflows float32 is refused here, before the
+                # manifest is written.
+                with np.errstate(over="ignore"):
+                    vol = (base + rng.normal(0.0, noise_std, size=spatial)).astype(np.float32)
+                if not np.isfinite(vol).all():
+                    raise ArgumentError(
+                        f"scan {subject_id}/{scan_id} has voxels beyond float32's range "
+                        f"(effect_size={effect_size}, noise_std={noise_std})"
+                    )
                 path = out_dir / f"{subject_id}_{scan_id}.vol"
-                save_volume(path, vol.astype(np.float32)[None])
+                save_volume(path, vol[None])
                 records.append(VolumeRecord(subject_id, scan_id, label, str(path)))
     manifest = Manifest(records, (1, *spatial))
     save_manifest(manifest, out_dir / "manifest.csv")

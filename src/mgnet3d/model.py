@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from .data import atomic_write
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError
 from .tensor import (
     Tensor,
     add,
@@ -113,6 +113,10 @@ class MgNetConfig:
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        # build draws each tensor in float64; numpy cannot size a larger one.
+        for name, shape, _ in _kernel_specs(self):
+            if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+                raise ConfigError(f"{name} of shape {shape} is too large for numpy to allocate")
 
 
 @dataclass
@@ -232,12 +236,6 @@ def level_shapes(config: MgNetConfig, spatial) -> list[tuple[int, int, int]]:
 def forward(params: MgNetParams, volume: Tensor) -> Tensor:
     """Run the full multigrid pass and return class logits."""
     cfg = params.config
-    if volume.ndim != 4:
-        raise ShapeError(f"volume must be [c,D,H,W], got shape {volume.shape}")
-    if volume.shape[0] != cfg.input_channels:
-        raise ShapeError(
-            f"model expects {cfg.input_channels} input channel(s), volume has shape {volume.shape}"
-        )
     p = params.by_name
     f = _activate(conv3d(volume, p["input_kernel"]), cfg.use_channel_norm)
     # MgNet starts from u0 = 0. The first pass's residual f - A*u0 is then f

@@ -21,7 +21,7 @@ from __future__ import annotations
 import contextvars
 import math
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -263,11 +263,11 @@ def _correlate(arr: np.ndarray, taps: np.ndarray, offsets: Sequence[tuple[int, i
     return out.reshape(-1, d, hp, wp)[:, :, :h, :w]
 
 
-# One thread runs conv3d kernel adjoints beside the input adjoints. The
-# executor starts it on the first submit, so runs that never reach it
-# start no thread. The lock is held while it has a job.
+# One thread runs conv3d kernel adjoints beside the input adjoints; the
+# adjoints of concurrent callers (cv folds) queue on it. The executor
+# starts it on the first submit, so runs that never reach it start no
+# thread.
 _adjoint_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mgnet3d-adjoint")
-_adjoint_worker_busy = threading.Lock()
 
 # A hand-off costs 0.4-1 ms of thread wake-ups and GIL switches,
 # so only a kernel gradient of at least this many multiply-adds
@@ -278,26 +278,6 @@ _adjoint_worker_busy = threading.Lock()
 # 16^3 (2.8e7), 0.73x at c=16 on 18^3 (4.0e7) and 0.56x at c=16 on
 # 46x55x46.
 _HANDOFF_MACS = 3 * 10**7
-
-
-def _hand_off(fn: Callable, *args) -> Future | None:
-    """Start ``fn(*args)`` on the adjoint worker and return its future, or
-    return None if the worker has a job (a concurrent cross-validation
-    fold's): the caller then runs ``fn`` itself instead of queueing. The job
-    runs in a copy of the caller's context, because a pool thread does not
-    inherit its np.errstate. It frees the worker before its result is set,
-    so the caller's next adjoint finds the worker idle.
-    """
-    if not _adjoint_worker_busy.acquire(blocking=False):
-        return None
-
-    def job(context: contextvars.Context):
-        try:
-            return context.run(fn, *args)
-        finally:
-            _adjoint_worker_busy.release()
-
-    return _adjoint_worker.submit(job, contextvars.copy_context())
 
 
 def conv3d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
@@ -379,17 +359,19 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
         return _correlate(g, taps.transpose(0, 2, 1).copy(), mirrored, padding)
 
     def adjoint(g: np.ndarray) -> None:
-        # On a large enough conv, the kernel gradient is computed on the
-        # idle adjoint worker while this thread runs the input gradient.
-        # Both only read g, x and the kernel; each gradient is added on
-        # this thread, so float32 results are those of the inline path.
+        # On a large enough conv, the kernel gradient is queued on the
+        # adjoint worker (behind any concurrent fold's) while this thread
+        # runs the input gradient. The job runs in a copy of this thread's
+        # context, because a pool thread does not inherit its np.errstate.
+        # Both helpers only read g, x and the kernel; each gradient is added
+        # on this thread, so float32 results are those of the inline path.
         # Otherwise each helper's scratch buffers are freed when it
         # returns, before the next one allocates its own.
         pending = None
         if kernel.requires_grad:
             if x.requires_grad and c_out * c_in * kd**3 * math.prod(out_sp) >= _HANDOFF_MACS:
-                pending = _hand_off(kernel_grad, g)
-            if pending is None:
+                pending = _adjoint_worker.submit(contextvars.copy_context().run, kernel_grad, g)
+            else:
                 _accumulate(kernel, kernel_grad(g), owned=True)
         if x.requires_grad:
             gsrc = src_grad(g)

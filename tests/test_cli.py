@@ -299,14 +299,37 @@ class TestErrors:
         assert "not UTF-8" in err
 
     def test_refused_allocation_exit_3(self, capsys, tmp_path):
-        # 10^13 channels ask numpy for petabytes, refused before any page is
-        # touched.
+        # A 10^6 x 10^8 x 27 input kernel is within numpy's size range but
+        # asks for petabytes, refused before any page is touched.
         cfg = tmp_path / "huge.cfg"
-        cfg.write_text("feature_channels=10000000000000\ndata_channels=10000000000000\n")
+        cfg.write_text("feature_channels=1000000\ndata_channels=1000000\ninput_channels=100000000\n")
         code, out, err = run(capsys, "params", "--config", str(cfg))
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["params", "cv"])
+    @pytest.mark.parametrize(
+        "lines,tensor",
+        [
+            (f"feature_channels={10**18}\ndata_channels={10**18}\n", "input_kernel"),
+            (f"num_classes={10**22}\n", "head.weight"),
+            (f"input_channels={10**21}\n", "input_kernel"),
+        ],
+    )
+    def test_tensor_beyond_numpy_sizes_exit_2(self, capsys, tmp_path, dataset, command, lines, tensor):
+        # numpy cannot size these tensors at all, so build would raise its
+        # ValueError; the config is refused before any output.
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(lines)
+        argv = ["--config", str(cfg)]
+        if command == "cv":
+            argv += ["--manifest", str(dataset), "--k", "2", "--out", str(tmp_path / "cv")]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {tensor} of shape") and err.count("\n") == 1
+        assert not (tmp_path / "cv").exists()
 
     @pytest.mark.parametrize("grids", ["34", "10000000000000000000"])
     def test_more_grids_than_halvings_exit_2(self, capsys, tmp_path, grids):
@@ -487,6 +510,18 @@ class TestErrors:
         assert code == 2
         assert "must be finite" in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--noise-std", "1e300"), ("--effect-size", "1e39")])
+    def test_synth_volume_beyond_float32_exit_2(self, capsys, tmp_path, flag, value):
+        # Every later command would refuse the non-finite voxels; synth
+        # refuses them first, without numpy's cast warning.
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "synth", "--out", str(out_dir), "--size", "8",
+                             "--subjects-per-class", "2", "--scans-per-subject", "1", flag, value)
+        assert code == 2
+        assert out == ""
+        assert "beyond float32's range" in err and err.count("\n") == 1
+        assert not (out_dir / "manifest.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_learning_rate_exit_2(self, capsys, tmp_path, dataset, value):

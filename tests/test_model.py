@@ -69,6 +69,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(**overrides)
 
+    def test_tensor_beyond_numpy_sizes(self):
+        # build draws each tensor in float64; numpy sizes at most intp.max
+        # bytes, and the [num_classes, 2] head weight takes 16 per class.
+        limit = np.iinfo(np.intp).max // 16
+        assert tiny_config(num_classes=limit).num_classes == limit
+        with pytest.raises(ConfigError, match=r"head.weight of shape \(576460752303423488, 2\)"):
+            tiny_config(num_classes=limit + 1)
+
     def test_frozen(self):
         with pytest.raises(FrozenInstanceError):
             tiny_config().num_grids = 0
@@ -479,7 +487,8 @@ class TestCheckpoint:
             mg.load_checkpoint(path)
 
     def test_extent_product_overflowing_int64(self, tmp_path):
-        # 2**31 * 2**31 * 27 wraps to a negative count in int64.
+        # 2**31 * 2**31 * 27 wraps to a negative count in int64; the config
+        # is refused before any extent is read.
         path = tmp_path / "model.mgn3"
         mg.save_checkpoint(mg.build(tiny_config()), path)
         raw = path.read_bytes()
@@ -489,7 +498,7 @@ class TestCheckpoint:
             block = block.replace(old, old.split(b"=")[0] + b"=2147483648\n")
         head = with_config_block(raw, block)[: 12 + len(block)]
         path.write_bytes(head + np.asarray([5, 2**31, 2**31, 3, 3, 3], dtype="<u4").tobytes() + bytes(64))
-        with pytest.raises(FormatError, match="truncated while reading input_kernel payload"):
+        with pytest.raises(FormatError, match="invalid checkpoint config: input_kernel of shape"):
             mg.load_checkpoint(path)
 
     def test_truncated_after_config_of_many_grids(self, tmp_path):

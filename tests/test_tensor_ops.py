@@ -296,7 +296,7 @@ class TestConv3dThreadIndependence:
 
 class TestConv3dAdjointWorker:
     """An adjoint that needs both gradients, of a conv whose kernel gradient
-    is large enough (c=16 at 20^3 here), computes the kernel's on the idle
+    is large enough (c=16 at 20^3 here), queues the kernel's on the one
     adjoint worker thread."""
 
     def adjoint(self, x, k, g):
@@ -334,21 +334,6 @@ class TestConv3dAdjointWorker:
         self.adjoint(*self.case(rng, 16, (16, 16, 16)))
         assert handoffs == []
 
-    def test_busy_worker_runs_inline(self, rng, monkeypatch):
-        # An adjoint that finds the worker taken computes the kernel
-        # gradient itself instead of queueing, with the same result.
-        x, k, g = self.case(rng)
-        want = [a.grad.tobytes() for a in self.adjoint(x, k, g)]
-        handoffs = count_worker_handoffs(monkeypatch)
-        with mg.tensor._adjoint_worker_busy:
-            got = [a.grad.tobytes() for a in self.adjoint(x, k, g)]
-        assert handoffs == []
-        assert got == want
-        # A finished job leaves the worker idle for the next adjoint.
-        self.adjoint(x, k, g)
-        self.adjoint(x, k, g)
-        assert handoffs == [1, 1]
-
     def test_error_state_reaches_the_worker(self, rng, monkeypatch):
         # A diverging run overflows under the training step's np.errstate;
         # the worker's GEMMs must stay as silent as the caller's.
@@ -364,7 +349,7 @@ class TestConv3dAdjointWorker:
 
     def test_concurrent_callers(self, rng, monkeypatch):
         # More callers than cores, switching often, as cv fold threads do:
-        # whether a caller gets the worker or finds it taken, it must get
+        # every caller hands off and queues on the one worker, and must get
         # the gradients of a hand-off run on its own thread.
         cases = [self.case(rng) for _ in range(4)]
         with monkeypatch.context() as m:
@@ -387,7 +372,7 @@ class TestConv3dAdjointWorker:
         finally:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in callers)
-        assert handoffs
+        assert handoffs == [1] * len(cases)
         assert got == want
 
     def test_thread_starts_on_first_handoff(self):
