@@ -6,14 +6,17 @@ Each nudge is a ``PARAM:INDEX:ULPS`` triple, for example
 ``input_kernel:0:+1`` or ``level1.smoother2:200:+1``: after every fold
 builds its fresh parameters, entry INDEX (flat, C order) of PARAM is
 moved ULPS float32 steps with ``np.nextafter``. ULPS 0 is the unnudged
-baseline. A run passes when mean accuracy >= 0.95 and mean AUC >= 0.98,
+baseline. With no nudges given, the committed ensemble ``ENSEMBLE`` runs,
+in order. A run passes when mean accuracy >= 0.95 and mean AUC >= 0.98,
 the thresholds of ``tests/test_acceptance.py::test_criterion_4_synthetic_learning``.
 
 The defaults are that criterion's recipe: synthetic data seed 7, 20
 subjects per class, 2 scans each, 16^3; the J=3, c=16 model with seed 0;
 learning rate 0.1, batch 2, 30 epochs, train seed 0; k=2, split seed 11.
-A full-size run takes minutes, so the script is kept out of the test suite.
+A full-size run takes one to two minutes per nudge on 2 cores, so the test
+suite runs the script only at a tiny size.
 
+    python scripts/nudge_ensemble.py
     python scripts/nudge_ensemble.py input_kernel:0:0 input_kernel:0:+1
 """
 
@@ -29,6 +32,20 @@ import mgnet3d as mg
 PASS_ACCURACY = 0.95
 PASS_AUC = 0.98
 MODEL = dict(num_grids=3, smoothing_iters=2, feature_channels=16, data_channels=16, seed=0)
+# The baseline, then one-ulp nudges across the kernels: criterion 4 is
+# settled when every one of them passes.
+ENSEMBLE = [
+    "input_kernel:0:0",
+    "input_kernel:0:+1",
+    "input_kernel:0:-1",
+    "input_kernel:100:+1",
+    "input_kernel:300:-1",
+    "level1.operator:5:+1",
+    "level1.smoother2:200:+1",
+    "level2.smoother1:7:+1",
+    "level3.operator:11:-1",
+    "head.weight:3:+1",
+]
 
 
 @dataclass(frozen=True)
@@ -94,7 +111,8 @@ def run(nudge: Nudge, manifest, train_cfg) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("nudges", nargs="+", type=parse_nudge, metavar="PARAM:INDEX:ULPS")
+    parser.add_argument("nudges", nargs="*", type=parse_nudge, metavar="PARAM:INDEX:ULPS",
+                        default=[parse_nudge(text) for text in ENSEMBLE])
     parser.add_argument("--size", type=int, default=16)
     parser.add_argument("--subjects-per-class", type=int, default=20)
     parser.add_argument("--epochs", type=int, default=30)

@@ -176,25 +176,20 @@ def _attach(value, inputs: Sequence[Tensor], adjoint: Callable[[np.ndarray], Non
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add the contribution ``g`` to ``t.grad``, if ``t`` takes a gradient.
 
-    A first contribution never becomes ``t.grad`` as handed in (an adjoint
-    may pass one array to several inputs), and adding +0 turns a -0 into
-    +0, as a zero start would. ``g`` has t's shape and dtype, so a first
-    contribution reads neither from ``t.data``, which backward may have
-    released. ``owned`` says ``g`` is a fresh array that nothing else
-    holds: it is then made +0 in place and kept, instead of copied.
+    Every adjoint lands its contributions here, in the order backward runs
+    them. A first contribution is copied as ``g + 0`` (an adjoint may pass
+    one array to several inputs), and adding +0 turns a -0 into +0, as a
+    zero start would; so ``t.grad`` never holds -0. ``g`` has t's shape and
+    dtype, so a first contribution reads neither from ``t.data``, which
+    backward may have released.
     """
     if not t.requires_grad:
         return
     if t.grad is None:
-        zero = g.dtype.type(0)
-        if owned:
-            g += zero
-            t.grad = g
-        else:
-            t.grad = np.add(g, zero)
+        t.grad = np.add(g, g.dtype.type(0))
     else:
         t.grad += g
 
@@ -365,26 +360,23 @@ def conv3d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
         # context, because a pool thread does not inherit its np.errstate.
         # Both helpers only read g, x and the kernel; each gradient is added
         # on this thread, so float32 results are those of the inline path.
-        # Otherwise each helper's scratch buffers are freed when it
-        # returns, before the next one allocates its own.
         pending = None
         if kernel.requires_grad:
             if x.requires_grad and c_out * c_in * kd**3 * math.prod(out_sp) >= _HANDOFF_MACS:
                 pending = _adjoint_worker.submit(contextvars.copy_context().run, kernel_grad, g)
             else:
-                _accumulate(kernel, kernel_grad(g), owned=True)
+                _accumulate(kernel, kernel_grad(g))
         if x.requires_grad:
             gsrc = src_grad(g)
             if stride == 2:
-                # A grid transfer read a strided subset of x: add into those
-                # voxels, not through a zero-filled buffer of the fine grid.
-                if x.grad is None:
-                    x.grad = np.zeros((c_in, d, h, w), dtype)
-                x.grad[coarse] += gsrc
-            else:
-                _accumulate(x, gsrc)
+                # A grid transfer read every second voxel of x: its gradient
+                # is zero on the other voxels of the fine grid.
+                fine = np.zeros((c_in, d, h, w), dtype)
+                fine[coarse] = gsrc
+                gsrc = fine
+            _accumulate(x, gsrc)
         if pending is not None:
-            _accumulate(kernel, pending.result(), owned=True)
+            _accumulate(kernel, pending.result())
 
     return _attach(value, (x, kernel), adjoint)
 
@@ -398,7 +390,7 @@ def relu(x: Tensor) -> Tensor:
     y = np.maximum(x.data, 0)
 
     def adjoint(g: np.ndarray) -> None:
-        _accumulate(x, g * (y > 0), owned=True)
+        _accumulate(x, g * (y > 0))
 
     return _attach(y, (x,), adjoint)
 

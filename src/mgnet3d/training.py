@@ -87,7 +87,9 @@ def train(
     Each batch runs every sample's forward pass, averages the
     cross-entropy losses, backpropagates, and applies one SGD step. The
     per-epoch loss is the mean over batch losses. Every training scan is
-    loaded and z-scored once, before the first step.
+    loaded and z-scored once, before the first step. A non-finite batch
+    loss, or a non-finite parameter after the last step, raises
+    DivergenceError.
     """
     if not train_records:
         raise ArgumentError("training set is empty")
@@ -134,6 +136,10 @@ def train(
         history.append(stats)
         if on_epoch is not None:
             on_epoch(stats)
+    # Each loss is checked before its step, so the last step is checked here.
+    for name, tensor in params.named_tensors():
+        if not np.isfinite(tensor.data).all():
+            raise DivergenceError(f"non-finite values in {name} after the last SGD step")
     return params, history
 
 

@@ -130,6 +130,24 @@ class TestTrainEval:
         assert "final_loss=" in summary and "accuracy=" in summary
         assert not list(trained.glob(".*.tmp"))
 
+    def test_overflowing_last_step_exit_4_keeps_checkpoint(self, capsys, trained, dataset, tmp_path):
+        # One batch, whose loss is finite when checked before its step; the
+        # step overflows float32, and no checkpoint is written over a good one.
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text("num_grids=2\nsmoothing_iters=1\nfeature_channels=4\ndata_channels=4\n"
+                       "batch_size=8\nepochs=1\nlog_every=0\nlearning_rate=1e39\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        good = (trained / "checkpoint.mgn3").read_bytes()
+        (out / "checkpoint.mgn3").write_bytes(good)
+        code, _, err = run(capsys, "train", "--manifest", str(dataset), "--folds",
+                           str(trained / "folds.csv"), "--fold", "0", "--out", str(out),
+                           "--config", str(cfg))
+        assert code == 4
+        assert err.startswith("error: non-finite values in ") and err.count("\n") == 1, err
+        assert (out / "checkpoint.mgn3").read_bytes() == good
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint.mgn3"]
+
     def test_train_deterministic_artifacts(self, trained, dataset, small_cfg, tmp_path):
         rerun = tmp_path / "rerun"
         code = main([

@@ -39,6 +39,25 @@ def test_nudge_ensemble_prints_one_result_per_nudge():
     assert all(re.search(r" result=(PASS|FAIL)$", line) for line in lines), lines
 
 
+def test_nudge_ensemble_runs_the_committed_ensemble_by_default():
+    done = run_python(REPO / "scripts" / "nudge_ensemble.py", *TINY)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "nudge=input_kernel:0:+0",
+        "nudge=input_kernel:0:+1",
+        "nudge=input_kernel:0:-1",
+        "nudge=input_kernel:100:+1",
+        "nudge=input_kernel:300:-1",
+        "nudge=level1.operator:5:+1",
+        "nudge=level1.smoother2:200:+1",
+        "nudge=level2.smoother1:7:+1",
+        "nudge=level3.operator:11:-1",
+        "nudge=head.weight:3:+1",
+    ]
+    assert all(re.search(r" result=(PASS|FAIL)$", line) for line in lines), lines
+
+
 @pytest.mark.parametrize("nudge", ["bogus:0:+1", "head.bias:2:+1"])
 def test_nudge_ensemble_rejects_unknown_entry_before_any_run(nudge):
     done = run_python(REPO / "scripts" / "nudge_ensemble.py", "input_kernel:0:0", nudge, *TINY)

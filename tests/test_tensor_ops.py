@@ -264,6 +264,51 @@ class TestConv3dFloat32Rounding:
             assert np.array_equal(xt.grad, earlier + want_gx)
 
 
+class TestGridTransferAdjoint:
+    """The transfer's input gradient lands on the fine grid through the
+    same accumulation as every other contribution: zero off the coarse
+    lattice."""
+
+    spatial = (5, 7, 3)
+
+    def operands(self, rng):
+        c = 3
+        x = rng.normal(size=(c,) + self.spatial).astype(np.float32)
+        k3 = (0.2 * rng.normal(size=(c, c, 3, 3, 3))).astype(np.float32)
+        k1 = (0.5 * rng.normal(size=(c, c, 1, 1, 1))).astype(np.float32)
+        g3 = rng.normal(size=x.shape).astype(np.float32)
+        g1 = rng.normal(size=(c,) + tuple(-(-n // 2) for n in self.spatial)).astype(np.float32)
+        return x, k3, k1, g3, g1
+
+    def test_adds_onto_a_gradient_already_held(self, rng):
+        x, k3, k1, g3, g1 = self.operands(rng)
+        xt = t(x, requires_grad=True)
+        with mg.record():
+            # Recorded first, as in restrict, so its adjoint runs last.
+            coarse = mg.conv3d(xt, t(k1), stride=2)
+            fine = mg.conv3d(xt, t(k3))
+            loss = mg.add(weighted_sum(coarse, g1), weighted_sum(fine, g3))
+        mg.backward(loss)
+        _, gx_conv, _ = conv3d_taps_reference(x, k3, g3, 1, 1)
+        _, gx_transfer, _ = conv3d_taps_reference(x, k1, g1, 2, 0)
+        want = (gx_conv + np.float32(0)) + gx_transfer
+        assert xt.grad.tobytes() == want.tobytes()
+
+    def test_off_lattice_gradient_is_positive_zero(self, rng):
+        x, _, k1, _, g1 = self.operands(rng)
+        # -0 output gradients give -0 products on the lattice too.
+        g1[:, 0] = -0.0
+        xt = t(x, requires_grad=True)
+        with mg.record():
+            loss = weighted_sum(mg.conv3d(xt, t(k1), stride=2), g1)
+        mg.backward(loss)
+        _, gx_transfer, _ = conv3d_taps_reference(x, k1, g1, 2, 0)
+        assert xt.grad.tobytes() == gx_transfer.tobytes()
+        off = np.ones(x.shape, dtype=bool)
+        off[:, ::2, ::2, ::2] = False
+        assert xt.grad[off].tobytes() == np.zeros(off.sum(), np.float32).tobytes()
+
+
 class TestConv3dThreadIndependence:
     def test_one_output_channel_kernel_gradient(self):
         # A single-row kernel adjoint would be a matrix-vector BLAS call
@@ -802,6 +847,37 @@ class TestBackwardMemory:
         _, deep, _ = self.run_chain(12)
         assert deep - shallow <= activation, (shallow / activation, deep / activation)
         assert max(shallow, deep) <= 3.25 * activation, (shallow / activation, deep / activation)
+
+    @pytest.mark.parametrize(
+        "grids,channels,extent,pool",
+        [
+            (3, 16, 16, True),  # the cv-synth16 benchmark model
+            (3, 8, 24, False),
+        ],
+    )
+    def test_model_step_peaks_when_the_forward_ends(self, grids, channels, extent, pool):
+        # backward releases the recorded values before its first adjoint
+        # runs, and the adjoints' transients fit in that room: a batch-2
+        # step's traced memory never rises above its level at the end of
+        # the forward.
+        config = mg.MgNetConfig(num_grids=grids, smoothing_iters=2, feature_channels=channels,
+                                data_channels=channels, use_avg_pool=pool)
+        params = mg.build(config)
+        rng = np.random.default_rng(1)
+        scans = [t(rng.normal(size=(1, extent, extent, extent))) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            with mg.record():
+                loss = mg.mean_scalars([mg.softmax_cross_entropy(mg.forward(params, s), label)
+                                        for label, s in enumerate(scans)])
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            mg.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(p.grad is not None for p in params.tensors())
+        assert peak - start <= 64 * 1024, (start, peak)
 
     def test_backward_keeps_only_what_adjoints_read(self):
         # When backward starts, each conv output is released: relu's adjoint

@@ -121,6 +121,13 @@ class TestTrain:
             mg.train(cfg, tiny_dataset.records, tc)
         assert re.search(r"at epoch \d+, batch \d+$", str(excinfo.value)), str(excinfo.value)
 
+    def test_overflowing_last_step_raises(self, tiny_dataset):
+        # One batch: its loss is checked before the step, which overflows
+        # float32 at this learning rate.
+        tc = TrainConfig(learning_rate=1e39, batch_size=8, epochs=1, seed=0, log_every=0)
+        with pytest.raises(DivergenceError, match="after the last SGD step"):
+            mg.train(tiny_model_config(), tiny_dataset.records, tc)
+
     def test_history_carries_eval_metrics_at_cadence(self, tiny_dataset):
         cfg = tiny_model_config()
         tc = TrainConfig(learning_rate=0.01, batch_size=2, epochs=4, seed=0, log_every=2)
