@@ -112,7 +112,7 @@ def parse_config_file(path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config file is not UTF-8: {exc}") from None
-    return {key: value for _, key, value in parse_key_values(text, _CONFIG_SCHEMA, f"{path}:")}
+    return parse_key_values(text, _CONFIG_SCHEMA, f"{path}:")
 
 
 def _resolve(args) -> dict:

@@ -240,20 +240,19 @@ def forward(params: MgNetParams, volume: Tensor) -> Tensor:
     f = _activate(conv3d(volume, p["input_kernel"]), cfg.use_channel_norm)
     # MgNet starts from u0 = 0. The first pass's residual f - A*u0 is then f
     # exactly and u0 + v is v, so that pass runs without the operator conv.
-    # A one-grid, one-pass network reads its operator nowhere else; it keeps
-    # the conv so the kernel still receives its (zero) gradient.
+    # With a plain ReLU, f is already rectified and act(f) is f, so that pass
+    # convolves f itself. A one-grid, one-pass network reads its operator
+    # nowhere else; it keeps the conv so the kernel still receives its (zero)
+    # gradient.
     u = None
     if cfg.num_grids == 1 and cfg.smoothing_iters[0] == 1:
-        u = Tensor(
-            np.zeros((cfg.feature_channels,) + volume.shape[1:], dtype=volume.data.dtype),
-            dtype=volume.data.dtype,
-        )
+        u = Tensor(np.zeros_like(f.data), dtype=f.dtype)
     for i in range(1, cfg.num_grids + 1):
         operator = p[f"level{i}.operator"]
         for j in range(1, cfg.smoothing_iters[i - 1] + 1):
             smoother = p[f"level{i}.smoother{j}"]
             if u is None:
-                v = conv3d(_activate(f, cfg.use_channel_norm), smoother)
+                v = conv3d(relu(channel_norm(f)) if cfg.use_channel_norm else f, smoother)
                 u = _activate(v, cfg.use_channel_norm)
             else:
                 u = smooth(u, f, operator, smoother, cfg.use_channel_norm)
@@ -308,15 +307,15 @@ def field_parsers(cls) -> dict:
     return {f.name: _VALUE_CODECS[f.type][0] for f in fields(cls)}
 
 
-def parse_key_values(text: str, schema: dict, where: str) -> Iterator[tuple[int, str, object]]:
-    """Yield (line number, key, parsed value) per ``key=value`` line of text.
+def parse_key_values(text: str, schema: dict, where: str) -> dict:
+    """The parsed value of each ``key=value`` line of text, by key.
 
     ``#`` starts a comment, blank lines are skipped and both sides are
     stripped. A line without ``=``, a key missing from ``schema``, a key
     seen before or a value its parser rejects raises ConfigError prefixed
     with ``where`` and the line number.
     """
-    seen = set()
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -326,16 +325,15 @@ def parse_key_values(text: str, schema: dict, where: str) -> Iterator[tuple[int,
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in schema:
             raise ConfigError(f"{where}{lineno}: unknown config key {key!r}")
-        if key in seen:
+        if key in values:
             raise ConfigError(f"{where}{lineno}: duplicate key {key!r}")
-        seen.add(key)
         try:
-            parsed = schema[key](value)
+            values[key] = schema[key](value)
         except ConfigError:
             raise
         except ValueError:
             raise ConfigError(f"{where}{lineno}: bad value {value!r} for key {key!r}") from None
-        yield lineno, key, parsed
+    return values
 
 
 def _config_to_bytes(config: MgNetConfig) -> bytes:
@@ -346,7 +344,7 @@ def _config_to_bytes(config: MgNetConfig) -> bytes:
 def _config_from_bytes(blob: bytes) -> MgNetConfig:
     schema = field_parsers(MgNetConfig)
     try:
-        values = {key: value for _, key, value in parse_key_values(blob.decode("utf-8"), schema, "line ")}
+        values = parse_key_values(blob.decode("utf-8"), schema, "line ")
         if values.keys() != schema.keys():
             raise ConfigError(f"missing keys {sorted(schema.keys() - values.keys())}")
         return MgNetConfig(**values)

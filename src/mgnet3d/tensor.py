@@ -421,8 +421,7 @@ def scale(x: Tensor, factor: float) -> Tensor:
     """Multiply by a plain scalar constant."""
 
     def adjoint(g: np.ndarray) -> None:
-        # numpy < 2 promotes a 0-d float32 times a Python float to float64.
-        _accumulate(x, np.asarray(g * factor, dtype=g.dtype))
+        _accumulate(x, g * factor)
 
     return _attach(x.data * factor, (x,), adjoint)
 

@@ -22,6 +22,8 @@ from helpers import (
     max_rel_err,
     numerical_gradient,
     params_to_f64,
+    reduce_sum,
+    weighted_sum,
 )
 
 
@@ -68,41 +70,41 @@ def test_criterion_1_gradient_suite(rng):
                 size=(3,)
                 + tuple((n + 2 * padding - ksize) // stride + 1 for n in (4, 5, 4))
             )
-            check_gradients(lambda: mg.weighted_sum(mg.conv3d(x, k, stride), w), [x, k])
+            check_gradients(lambda: weighted_sum(mg.conv3d(x, k, stride), w), [x, k])
 
         r = Tensor(rng.normal(size=(2, 3, 3, 3)) + 0.2 * np.sign(rng.normal(size=(2, 3, 3, 3))),
                    requires_grad=True, dtype=np.float64)
         wr = rng.normal(size=r.shape)
-        check_gradients(lambda: mg.weighted_sum(mg.relu(r), wr), [r])
+        check_gradients(lambda: weighted_sum(mg.relu(r), wr), [r])
 
         a, b = f64_tensor(rng, (3, 4)), f64_tensor(rng, (3, 4))
         wab = rng.normal(size=(3, 4))
-        check_gradients(lambda: mg.weighted_sum(mg.add(a, b), wab), [a, b])
-        check_gradients(lambda: mg.weighted_sum(mg.sub(a, b), wab), [a, b])
+        check_gradients(lambda: weighted_sum(mg.add(a, b), wab), [a, b])
+        check_gradients(lambda: weighted_sum(mg.sub(a, b), wab), [a, b])
 
         p = f64_tensor(rng, (2, 3, 4, 3))
         wp = rng.normal(size=p.shape)
-        check_gradients(lambda: mg.weighted_sum(mg.avg_pool3d(p), wp), [p])
+        check_gradients(lambda: weighted_sum(mg.avg_pool3d(p), wp), [p])
 
         g = f64_tensor(rng, (3, 4, 4, 4))
         wg = rng.normal(size=(3,))
-        check_gradients(lambda: mg.weighted_sum(mg.global_avg_pool(g), wg), [g])
+        check_gradients(lambda: weighted_sum(mg.global_avg_pool(g), wg), [g])
 
         xv, wl, bl = f64_tensor(rng, (4,)), f64_tensor(rng, (3, 4)), f64_tensor(rng, (3,))
         wv = rng.normal(size=(3,))
-        check_gradients(lambda: mg.weighted_sum(mg.linear(xv, wl, bl), wv), [xv, wl, bl])
+        check_gradients(lambda: weighted_sum(mg.linear(xv, wl, bl), wv), [xv, wl, bl])
 
         logits = f64_tensor(rng, (3,))
         check_gradients(lambda: mg.softmax_cross_entropy(logits, 1), [logits])
 
         cn = f64_tensor(rng, (2, 3, 3, 3))
         wc = rng.normal(size=cn.shape)
-        check_gradients(lambda: mg.weighted_sum(mg.channel_norm(cn), wc), [cn])
+        check_gradients(lambda: weighted_sum(mg.channel_norm(cn), wc), [cn])
 
         sv = f64_tensor(rng, (5,))
         ws = rng.normal(size=(5,))
-        check_gradients(lambda: mg.weighted_sum(mg.scale(sv, 1.7), ws), [sv])
-        check_gradients(lambda: mg.reduce_sum(sv), [sv])
+        check_gradients(lambda: weighted_sum(mg.scale(sv, 1.7), ws), [sv])
+        check_gradients(lambda: reduce_sum(sv), [sv])
 
         # end-to-end tiny model: J=2, one smoothing pass, 2 channels, 5^3
         cfg = MgNetConfig(num_grids=2, smoothing_iters=1, feature_channels=2,

@@ -316,6 +316,24 @@ class TestZeroInitialGuess:
         for name, t in got_params.items():
             assert t.grad.tobytes() == want_params[name].grad.tobytes(), name
 
+    @pytest.mark.parametrize("num_grids,iters,use_channel_norm,relus", [
+        (3, 2, False, 12),
+        (2, (2, 1), False, 6),
+        (1, 1, False, 3),
+        (3, 2, True, 13),
+        (2, (2, 1), True, 7),
+    ])
+    def test_relu_count(self, rng, num_grids, iters, use_channel_norm, relus):
+        # With a plain ReLU the first pass convolves f itself, because
+        # act(f) is f; with channel norm relu(cn(f)) is not f and stays.
+        cfg = MgNetConfig(num_grids=num_grids, smoothing_iters=iters, feature_channels=4,
+                          data_channels=4, use_channel_norm=use_channel_norm, seed=5)
+        params = mg.build(cfg)
+        with mg.record() as tape:
+            mg.forward(params, Tensor(rng.normal(size=(1, 9, 10, 8)).astype(np.float32)))
+        names = [op.adjoint.__qualname__.split(".")[0] for op in tape.ops]
+        assert names.count("relu") == relus
+
 
 class TestParamCount:
     def test_worked_tiny_example(self):
